@@ -26,7 +26,7 @@ pub enum FaultKind {
     /// The shard worker thread panics while servicing a submit.
     WorkerPanic,
     /// The tenant's compiled engine fails at a batch boundary; the
-    /// tenant degrades to the interpreted warn-only reference engine.
+    /// tenant degrades to warn-only enforcement.
     DeviceStepError,
     /// A registry fetch ([`SpecRegistry::current_compiled`]) stalls
     /// (hot-swap delay).

@@ -25,9 +25,9 @@
 //!   rejects with [`PoolError::Saturated`] instead of queueing without
 //!   limit, and [`EnforcementPool::wait`] can enforce a per-batch
 //!   timeout ([`PoolError::BatchTimeout`]);
-//! * a compiled-engine fault degrades the tenant to the interpreted
-//!   reference engine in warn-only mode (a `DegradedMode` alert is
-//!   emitted) rather than halting a possibly-benign tenant.
+//! * a compiled-engine fault degrades the tenant to warn-only mode on
+//!   the same engine (a `DegradedMode` alert is emitted) rather than
+//!   halting a possibly-benign tenant.
 //!
 //! Every failure mode above is reachable on demand through the
 //! [`fault`](crate::fault) seam, which is how the chaos suite drives
@@ -358,7 +358,7 @@ impl TenantRuntime {
             if state.degraded {
                 runtime.degraded = true;
                 for slot in &mut runtime.slots {
-                    slot.enforcer.degrade_to_reference();
+                    slot.enforcer.degrade();
                 }
             }
         }
@@ -392,7 +392,7 @@ impl TenantRuntime {
                 slot.key = key;
                 slot.epoch = epoch;
                 if self.degraded {
-                    slot.enforcer.degrade_to_reference();
+                    slot.enforcer.degrade();
                 }
                 if let Some(sink) = &slot.sink {
                     slot.enforcer.set_sink(Some(Arc::clone(sink)));
@@ -416,17 +416,16 @@ impl TenantRuntime {
         total
     }
 
-    /// Falls every device back to the interpreted reference engine in
-    /// warn-only mode: the graceful response to a compiled-engine
-    /// fault. Emits a `DegradedMode` alert and the obs events feeding
-    /// `sedspec_degraded_tenants`.
+    /// Switches every device to warn-only mode: the graceful response
+    /// to a compiled-engine fault. Emits a `DegradedMode` alert and the
+    /// obs events feeding `sedspec_degraded_tenants`.
     fn degrade(&mut self, shard: usize, alerts: &Sender<AlertEvent>, alert_seq: &AtomicU64) {
         if self.degraded {
             return;
         }
         self.degraded = true;
         for slot in &mut self.slots {
-            slot.enforcer.degrade_to_reference();
+            slot.enforcer.degrade();
         }
         self.sticky.lock().entry(self.id.0).or_default().degraded = true;
         if let Some((hub, scope)) = &self.obs {
@@ -447,8 +446,7 @@ impl TenantRuntime {
                 tenant: self.id,
                 device: slot.kind,
                 level: None,
-                detail: "DegradedMode: compiled-engine fault; interpreted warn-only fallback"
-                    .into(),
+                detail: "DegradedMode: compiled-engine fault; warn-only enforcement".into(),
             });
         }
     }

@@ -183,8 +183,8 @@ pub enum TraceEventKind {
         /// Restart attempt number (1 = first respawn).
         attempt: u32,
     },
-    /// A tenant fell back to the interpreted reference engine in
-    /// warn-only mode after a compiled-engine fault.
+    /// A tenant switched to warn-only enforcement after a
+    /// compiled-engine fault.
     TenantDegraded {
         /// Tenant id.
         tenant: u64,

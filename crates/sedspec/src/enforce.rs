@@ -13,15 +13,15 @@
 
 use std::sync::Arc;
 
-use sedspec_dbl::interp::ExecOutcome;
+use sedspec_dbl::interp::{ExecOutcome, Fault};
 use sedspec_devices::Device;
 use sedspec_obs::{ForensicData, ObsSink, PathStep, ShadowDelta, TraceEventKind, VerdictKind};
 use sedspec_vmm::{IoRequest, VmContext};
 use serde::{Deserialize, Serialize};
 
 use crate::checker::{
-    BatchOutcome, CheckConfig, EsChecker, NoSync, RecordedSync, RoundReport, Strategy, Violation,
-    WorkingMode,
+    BatchOutcome, CheckConfig, EsChecker, NoSync, RecordedSync, RoundReport, Strategy,
+    SyncProvider, Violation, WalkResult, WorkingMode,
 };
 use crate::compiled::CompiledSpec;
 use crate::observe::Observer;
@@ -145,15 +145,26 @@ fn verdict_kind(v: &IoVerdict) -> VerdictKind {
     }
 }
 
+/// The verdict of a device run no violation stands against.
+fn serviced(result: Result<ExecOutcome, Fault>) -> IoVerdict {
+    match result {
+        Ok(out) => IoVerdict::Allowed(out),
+        Err(f) => IoVerdict::DeviceFault { fault: f.to_string(), violations: Vec::new() },
+    }
+}
+
 /// Which walk implementation an [`EnforcingDevice`] runs per round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Engine {
-    /// In-place journaled walk over the [`CompiledSpec`] (the hot path).
+    /// In-place journaled walk over the [`CompiledSpec`] (the only
+    /// engine production selects, degraded tenants included).
     #[default]
     Compiled,
-    /// The interpreted reference walk, cloning the shadow per round.
-    /// Kept for the differential equivalence suite and overhead
-    /// comparisons; verdicts and statistics are identical.
+    /// The interpreted reference walk, cloning the shadow per round:
+    /// the oracle of the differential equivalence suite and the
+    /// denominator of the checker benchmarks. Verdicts and statistics
+    /// are identical; its forensic records carry no walked path or
+    /// shadow diff (it keeps no journal).
     Interpreted,
 }
 
@@ -169,10 +180,14 @@ pub struct EnforcingDevice {
     pub stats: EnforceStats,
     halted: bool,
     engine: Engine,
-    /// Warn-only survival mode: set by [`EnforcingDevice::degrade_to_reference`]
+    /// Warn-only survival mode: set by [`EnforcingDevice::degrade`]
     /// after a compiled-engine fault. Violations are still detected and
     /// reported, but never halt the device.
     degraded: bool,
+    /// The interpreted walk's tentative post-round state, held until
+    /// the round commits or aborts (always `None` on the compiled
+    /// engine, whose walk journals in place).
+    pending: Option<WalkResult>,
     /// Reused across synced rounds; `begin` clears the event buffer.
     observer: Observer,
     /// Observability sink; also forwarded to the checker.
@@ -187,20 +202,7 @@ pub struct EnforcingDevice {
 impl EnforcingDevice {
     /// Wraps `device` with a checker enforcing `spec` in `mode`.
     pub fn new(device: Device, spec: ExecutionSpecification, mode: WorkingMode) -> Self {
-        let checker = EsChecker::new(spec, device.control.clone());
-        EnforcingDevice {
-            device,
-            checker,
-            mode,
-            stats: EnforceStats::default(),
-            halted: false,
-            engine: Engine::default(),
-            degraded: false,
-            observer: Observer::new(),
-            sink: None,
-            walk_ns: 0,
-            route_buf: Vec::new(),
-        }
+        Self::new_compiled(device, Arc::new(CompiledSpec::compile(Arc::new(spec))), mode)
     }
 
     /// Wraps `device` with a checker over an already-compiled
@@ -216,6 +218,7 @@ impl EnforcingDevice {
             halted: false,
             engine: Engine::default(),
             degraded: false,
+            pending: None,
             observer: Observer::new(),
             sink: None,
             walk_ns: 0,
@@ -243,7 +246,8 @@ impl EnforcingDevice {
         self
     }
 
-    /// Selects the walk engine (compiled by default).
+    /// Selects the walk engine (compiled by default; the interpreted
+    /// engine is the oracle for tests and benchmarks).
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -254,19 +258,18 @@ impl EnforcingDevice {
         self.engine
     }
 
-    /// Falls back to the interpreted reference engine in warn-only
-    /// mode: the graceful-degradation response to a compiled-engine
-    /// fault. Checking continues — violations are still walked,
-    /// counted and reported — but the device is never halted, so a
-    /// benign tenant survives an enforcement-side failure. Also clears
-    /// an existing halt latch so the device can keep serving.
-    pub fn degrade_to_reference(&mut self) {
-        self.engine = Engine::Interpreted;
+    /// Switches to warn-only mode: the graceful-degradation response to
+    /// a compiled-engine fault. Checking continues on the same engine —
+    /// violations are still walked, counted, reported and recorded as
+    /// forensics — but the device is never halted, so a benign tenant
+    /// survives an enforcement-side failure. Also clears an existing
+    /// halt latch so the device can keep serving.
+    pub fn degrade(&mut self) {
         self.degraded = true;
         self.halted = false;
     }
 
-    /// Whether the device is running the warn-only degraded fallback.
+    /// Whether the device is running in warn-only degraded mode.
     pub fn is_degraded(&self) -> bool {
         self.degraded
     }
@@ -293,9 +296,9 @@ impl EnforcingDevice {
 
     fn should_halt(&self, violations: &[Violation]) -> bool {
         if self.degraded {
-            // Degraded fallback is warn-only by contract: enforcement
-            // keeps observing but never stops a possibly-benign tenant
-            // on the strength of a faulted engine.
+            // Degraded mode is warn-only by contract: enforcement keeps
+            // observing but never stops a possibly-benign tenant on the
+            // strength of a faulted engine.
             return false;
         }
         match self.mode {
@@ -323,19 +326,10 @@ impl EnforcingDevice {
         if self.halted {
             return IoVerdict::Halted { violations: Vec::new(), executed: false };
         }
-        let Some(pi) = self.device.route(req) else {
+        match self.device.route(req) {
+            Some(pi) => self.enforce_round(ctx, req, pi),
             // Unclaimed requests bypass the checker, as they bypass the device.
-            return match self.device.handle_io(ctx, req) {
-                Ok(out) => IoVerdict::Allowed(out),
-                Err(f) => IoVerdict::DeviceFault { fault: f.to_string(), violations: Vec::new() },
-            };
-        };
-        match &self.sink {
-            None => match self.engine {
-                Engine::Compiled => self.handle_io_compiled(ctx, req, pi),
-                Engine::Interpreted => self.handle_io_interpreted(ctx, req, pi),
-            },
-            Some(_) => self.handle_io_observed(ctx, req, pi),
+            None => serviced(self.device.handle_io(ctx, req)),
         }
     }
 
@@ -418,10 +412,7 @@ impl EnforcingDevice {
         }
         self.checker.commit_batch();
         for (req, pi) in reqs[..out.committed].iter().zip(&self.route_buf) {
-            verdicts.push(match self.device.handle_io_routed(ctx, req, *pi) {
-                Ok(o) => IoVerdict::Allowed(o),
-                Err(f) => IoVerdict::DeviceFault { fault: f.to_string(), violations: Vec::new() },
-            });
+            verdicts.push(serviced(self.device.handle_io_routed(ctx, req, *pi)));
         }
         if stopped {
             // Re-drive the stopping round sequentially: the walk is
@@ -435,58 +426,142 @@ impl EnforcingDevice {
         out.committed
     }
 
-    /// Brackets one round with `RoundBegin`/`RoundEnd` events carrying
-    /// the verdict, this round's block/sync tallies and the wall-clock
-    /// nanoseconds spent inside the specification walks.
-    fn handle_io_observed(&mut self, ctx: &mut VmContext, req: &IoRequest, pi: usize) -> IoVerdict {
-        let sink = self.sink.clone().expect("observed dispatch requires a sink");
-        sink.event(TraceEventKind::RoundBegin { program: pi as u32 });
-        let blocks0 = self.stats.check_blocks;
-        let syncs0 = self.stats.check_syncs;
-        self.walk_ns = 0;
-        let verdict = match self.engine {
-            Engine::Compiled => self.handle_io_compiled(ctx, req, pi),
-            Engine::Interpreted => self.handle_io_interpreted(ctx, req, pi),
+    /// One enforced round of routed program `pi`: the ES-Checker's
+    /// round protocol (Figure 1 phase 3), for either engine, with or
+    /// without a sink.
+    ///
+    /// The pre-execution walk renders the verdict before the device
+    /// runs. A walk that suspends at a sync point is aborted, the
+    /// device runs under observation, and the walk is redone over the
+    /// recorded sync values. A clean walk commits; a flagged one
+    /// freezes its forensics, aborts, and halts or warns. With a sink
+    /// attached the round is bracketed by `RoundBegin`/`RoundEnd`
+    /// events carrying the verdict, this round's block/sync tallies
+    /// and the wall-clock nanoseconds spent inside the walks.
+    fn enforce_round(&mut self, ctx: &mut VmContext, req: &IoRequest, pi: usize) -> IoVerdict {
+        let sink = self.sink.clone();
+        let (blocks0, syncs0) = (self.stats.check_blocks, self.stats.check_syncs);
+        if let Some(sink) = &sink {
+            sink.event(TraceEventKind::RoundBegin { program: pi as u32 });
+            self.walk_ns = 0;
+        }
+        let verdict = 'round: {
+            // Phase 1: pre-execution walk.
+            let pre = self.walk(pi, req, &mut NoSync);
+            self.charge(ctx, &pre, true);
+            // Phase 2, when the walk needs sync data: roll the partial
+            // walk back, run the device under observation, then re-walk
+            // with the recorded sync values. `ran` holds the device's
+            // result once it has executed.
+            let (report, ran) = if pre.needs_sync {
+                self.abort();
+                self.stats.aborts += 1;
+                self.stats.synced_rounds += 1;
+                self.observer.begin(pi, req);
+                let result = self.device.handle_io_hooked(ctx, req, &mut self.observer);
+                let round_log =
+                    self.observer.end(result.as_ref().err().map(std::string::ToString::to_string));
+                let post = self.walk(pi, req, &mut RecordedSync::from_round(&round_log));
+                self.charge(ctx, &post, false);
+                (post, Some(result))
+            } else {
+                (pre, None)
+            };
+
+            if report.ok() && !report.needs_sync {
+                self.commit();
+                let result = ran.unwrap_or_else(|| {
+                    self.stats.precheck_complete += 1;
+                    self.device.handle_io(ctx, req)
+                });
+                break 'round serviced(result);
+            }
+
+            let violations = report.violations;
+            let executed = ran.is_some();
+            let halt = self.should_halt(&violations);
+            // Freeze forensics while the undo journal still holds the
+            // round's shadow writes; the abort replays and clears it.
+            self.emit_forensics(
+                &violations,
+                if halt { VerdictKind::Halted } else { VerdictKind::Warned },
+                executed,
+                pi,
+            );
+            self.abort();
+            self.stats.aborts += 1;
+            if halt {
+                self.halted = true;
+                self.stats.halts += 1;
+                break 'round IoVerdict::Halted { violations, executed };
+            }
+            let result = ran.unwrap_or_else(|| self.device.handle_io(ctx, req));
+            match (result, violations.is_empty()) {
+                // Sync data ran out without a verdict: the device
+                // diverged from every trained path (it may have crashed
+                // mid-round).
+                (Err(f), true) => IoVerdict::DeviceFault { fault: f.to_string(), violations },
+                (Ok(out), true) => {
+                    self.checker.resync_shadow(&self.device.state);
+                    IoVerdict::Allowed(out)
+                }
+                (result, false) => {
+                    self.stats.warnings += 1;
+                    self.checker.resync_shadow(&self.device.state);
+                    IoVerdict::Warned { violations, outcome: result.ok() }
+                }
+            }
         };
-        sink.event(TraceEventKind::RoundEnd {
-            verdict: verdict_kind(&verdict),
-            blocks: self.stats.check_blocks - blocks0,
-            syncs: self.stats.check_syncs - syncs0,
-            walk_ns: self.walk_ns,
-        });
+        if let Some(sink) = &sink {
+            sink.event(TraceEventKind::RoundEnd {
+                verdict: verdict_kind(&verdict),
+                blocks: self.stats.check_blocks - blocks0,
+                syncs: self.stats.check_syncs - syncs0,
+                walk_ns: self.walk_ns,
+            });
+        }
         verdict
     }
 
-    /// [`EsChecker::walk_round_fast`], timed when a sink is attached.
-    fn walk_fast_timed(
-        &mut self,
-        pi: usize,
-        req: &IoRequest,
-        sync: &mut dyn crate::checker::SyncProvider,
-    ) -> RoundReport {
-        if self.sink.is_none() {
-            return self.checker.walk_round_fast(pi, req, sync);
+    /// Walks round `pi` on the selected engine, timed when a sink is
+    /// attached. Settle the walk with [`EnforcingDevice::commit`] or
+    /// [`EnforcingDevice::abort`].
+    fn walk(&mut self, pi: usize, req: &IoRequest, sync: &mut dyn SyncProvider) -> RoundReport {
+        let t0 = self.sink.is_some().then(std::time::Instant::now);
+        let report = match self.engine {
+            Engine::Compiled => self.checker.walk_round_fast(pi, req, sync),
+            Engine::Interpreted => {
+                let mut walked = self.checker.walk_round(pi, req, sync);
+                let report = std::mem::take(&mut walked.report);
+                self.pending = Some(walked);
+                report
+            }
+        };
+        if let Some(t0) = t0 {
+            self.walk_ns += t0.elapsed().as_nanos() as u64;
         }
-        let t0 = std::time::Instant::now();
-        let report = self.checker.walk_round_fast(pi, req, sync);
-        self.walk_ns += t0.elapsed().as_nanos() as u64;
         report
     }
 
-    /// [`EsChecker::walk_round`], timed when a sink is attached.
-    fn walk_interp_timed(
-        &mut self,
-        pi: usize,
-        req: &IoRequest,
-        sync: &mut dyn crate::checker::SyncProvider,
-    ) -> crate::checker::WalkResult {
-        if self.sink.is_none() {
-            return self.checker.walk_round(pi, req, sync);
+    /// Accepts the last walk: keeps its shadow writes and command scope.
+    fn commit(&mut self) {
+        match self.engine {
+            Engine::Compiled => self.checker.commit_round(),
+            Engine::Interpreted => {
+                if let Some(walked) = self.pending.take() {
+                    self.checker.commit(&walked);
+                }
+            }
         }
-        let t0 = std::time::Instant::now();
-        let result = self.checker.walk_round(pi, req, sync);
-        self.walk_ns += t0.elapsed().as_nanos() as u64;
-        result
+    }
+
+    /// Rejects the last walk: the shadow and command scope stay as they
+    /// were before it.
+    fn abort(&mut self) {
+        match self.engine {
+            Engine::Compiled => self.checker.abort_round(),
+            Engine::Interpreted => self.pending = None,
+        }
     }
 
     /// Assembles and emits the forensic payload of a flagged round:
@@ -548,186 +623,5 @@ impl EnforcingDevice {
             block_path,
             shadow_diff,
         });
-    }
-
-    /// The compiled hot path: the walk mutates the reusable shadow in
-    /// place under the undo journal; accepting a round is a journal
-    /// clear, rejecting replays the journal backwards. No per-round
-    /// shadow clone, no per-round allocation in the steady state.
-    fn handle_io_compiled(&mut self, ctx: &mut VmContext, req: &IoRequest, pi: usize) -> IoVerdict {
-        // Phase 1: pre-execution walk.
-        let pre = self.walk_fast_timed(pi, req, &mut NoSync);
-        self.charge(ctx, &pre, true);
-
-        if !pre.needs_sync {
-            if pre.ok() {
-                self.checker.commit_round();
-                self.stats.precheck_complete += 1;
-                return match self.device.handle_io(ctx, req) {
-                    Ok(out) => IoVerdict::Allowed(out),
-                    Err(f) => {
-                        IoVerdict::DeviceFault { fault: f.to_string(), violations: Vec::new() }
-                    }
-                };
-            }
-            let violations = pre.violations;
-            let halt = self.should_halt(&violations);
-            // Freeze forensics while the undo journal still holds the
-            // round's shadow writes; the abort replays and clears it.
-            self.emit_forensics(
-                &violations,
-                if halt { VerdictKind::Halted } else { VerdictKind::Warned },
-                false,
-                pi,
-            );
-            self.checker.abort_round();
-            self.stats.aborts += 1;
-            return if halt {
-                self.halted = true;
-                self.stats.halts += 1;
-                IoVerdict::Halted { violations, executed: false }
-            } else {
-                self.stats.warnings += 1;
-                let outcome = self.device.handle_io(ctx, req).ok();
-                self.checker.resync_shadow(&self.device.state);
-                IoVerdict::Warned { violations, outcome }
-            };
-        }
-
-        // Phase 2: the walk needs sync data — roll the partial walk
-        // back, run the device under observation, then re-walk with the
-        // recorded sync values.
-        self.checker.abort_round();
-        self.stats.aborts += 1;
-        self.stats.synced_rounds += 1;
-        self.observer.begin(pi, req);
-        let result = self.device.handle_io_hooked(ctx, req, &mut self.observer);
-        let round_log =
-            self.observer.end(result.as_ref().err().map(std::string::ToString::to_string));
-        let mut recorded = RecordedSync::from_round(&round_log);
-        let post = self.walk_fast_timed(pi, req, &mut recorded);
-        self.charge(ctx, &post, false);
-
-        if post.ok() && !post.needs_sync {
-            self.checker.commit_round();
-            return match result {
-                Ok(out) => IoVerdict::Allowed(out),
-                Err(f) => IoVerdict::DeviceFault { fault: f.to_string(), violations: Vec::new() },
-            };
-        }
-
-        let halt = self.should_halt(&post.violations);
-        self.emit_forensics(
-            &post.violations,
-            if halt { VerdictKind::Halted } else { VerdictKind::Warned },
-            true,
-            pi,
-        );
-        self.checker.abort_round();
-        self.stats.aborts += 1;
-        let violations = post.violations;
-        if violations.is_empty() {
-            // Sync data ran out without a verdict: the device diverged
-            // from every trained path (it may have crashed mid-round).
-            return match result {
-                Err(f) => IoVerdict::DeviceFault { fault: f.to_string(), violations },
-                Ok(out) => {
-                    self.checker.resync_shadow(&self.device.state);
-                    IoVerdict::Allowed(out)
-                }
-            };
-        }
-        if halt {
-            self.halted = true;
-            self.stats.halts += 1;
-            IoVerdict::Halted { violations, executed: true }
-        } else {
-            self.stats.warnings += 1;
-            self.checker.resync_shadow(&self.device.state);
-            IoVerdict::Warned { violations, outcome: result.ok() }
-        }
-    }
-
-    /// The interpreted reference path (clones the shadow per walk).
-    fn handle_io_interpreted(
-        &mut self,
-        ctx: &mut VmContext,
-        req: &IoRequest,
-        pi: usize,
-    ) -> IoVerdict {
-        // Phase 1: pre-execution walk.
-        let pre = self.walk_interp_timed(pi, req, &mut NoSync);
-        self.charge(ctx, &pre.report, true);
-
-        if !pre.report.needs_sync {
-            if pre.report.ok() {
-                self.checker.commit(&pre);
-                self.stats.precheck_complete += 1;
-                return match self.device.handle_io(ctx, req) {
-                    Ok(out) => IoVerdict::Allowed(out),
-                    Err(f) => {
-                        IoVerdict::DeviceFault { fault: f.to_string(), violations: Vec::new() }
-                    }
-                };
-            }
-            // The compiled engine aborts its journal here; count the
-            // discarded-walk decision identically so the differential
-            // suite's stats equality holds.
-            self.stats.aborts += 1;
-            let violations = pre.report.violations;
-            return if self.should_halt(&violations) {
-                self.halted = true;
-                self.stats.halts += 1;
-                IoVerdict::Halted { violations, executed: false }
-            } else {
-                self.stats.warnings += 1;
-                let outcome = self.device.handle_io(ctx, req).ok();
-                self.checker.resync_shadow(&self.device.state);
-                IoVerdict::Warned { violations, outcome }
-            };
-        }
-
-        // Phase 2: the walk needs sync data — run the device under
-        // observation, then complete the check post-hoc.
-        self.stats.aborts += 1;
-        self.stats.synced_rounds += 1;
-        self.observer.begin(pi, req);
-        let result = self.device.handle_io_hooked(ctx, req, &mut self.observer);
-        let round_log =
-            self.observer.end(result.as_ref().err().map(std::string::ToString::to_string));
-        let mut recorded = RecordedSync::from_round(&round_log);
-        let post = self.walk_interp_timed(pi, req, &mut recorded);
-        self.charge(ctx, &post.report, false);
-
-        if post.report.ok() && !post.report.needs_sync {
-            self.checker.commit(&post);
-            return match result {
-                Ok(out) => IoVerdict::Allowed(out),
-                Err(f) => IoVerdict::DeviceFault { fault: f.to_string(), violations: Vec::new() },
-            };
-        }
-
-        self.stats.aborts += 1;
-        let violations = post.report.violations;
-        if violations.is_empty() {
-            // Sync data ran out without a verdict: the device diverged
-            // from every trained path (it may have crashed mid-round).
-            return match result {
-                Err(f) => IoVerdict::DeviceFault { fault: f.to_string(), violations },
-                Ok(out) => {
-                    self.checker.resync_shadow(&self.device.state);
-                    IoVerdict::Allowed(out)
-                }
-            };
-        }
-        if self.should_halt(&violations) {
-            self.halted = true;
-            self.stats.halts += 1;
-            IoVerdict::Halted { violations, executed: true }
-        } else {
-            self.stats.warnings += 1;
-            self.checker.resync_shadow(&self.device.state);
-            IoVerdict::Warned { violations, outcome: result.ok() }
-        }
     }
 }

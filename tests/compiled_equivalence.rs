@@ -1,14 +1,22 @@
-//! Differential proof that the compiled enforcement hot path is
-//! verdict-equivalent to the interpreted reference walk.
+//! Differential proof that the enforcement paths are
+//! verdict-equivalent.
 //!
-//! Two enforcing devices over the *same trained specification* — one on
-//! [`Engine::Compiled`] (journaled in-place walk over the
-//! `CompiledSpec`), one on [`Engine::Interpreted`] (per-round shadow
-//! clone) — service identical traffic. Every round must produce the
-//! same [`IoVerdict`], the same alert level, and at the end the same
-//! [`EnforceStats`], halt latch, shadow state and command scope. Runs
-//! over random benign-and-rare batches for all five devices in both
-//! working modes, plus every CVE proof-of-concept stream from Table III.
+//! One lockstep harness drives two enforcing devices over the *same
+//! compiled specification* through identical traffic. Each side picks
+//! its walk engine ([`Engine::Compiled`], the journaled in-place walk,
+//! or [`Engine::Interpreted`], the per-round shadow-clone oracle),
+//! whether an `ObsHub` sink is attached, and whether it submits round
+//! by round or through `handle_batch` in fixed-size runs; both sides
+//! may run in warn-only degraded mode. Every round must produce the
+//! same [`IoVerdict`] and alert level, and at the end the same
+//! `EnforceStats`, halt latch, shadow state and command scope. The
+//! inputs are random benign-and-rare streams for all five devices in
+//! both working modes, plus every CVE proof-of-concept stream from
+//! Table III:
+//!
+//! * compiled ≡ interpreted, normal and degraded;
+//! * batched ≡ sequential (compiled engine);
+//! * observed ≡ unobserved, round by round and batched.
 
 use std::sync::Arc;
 
@@ -19,104 +27,186 @@ use sedspec::compiled::{CompileOptions, CompiledSpec};
 use sedspec::enforce::{EnforcingDevice, Engine, IoVerdict};
 use sedspec::pipeline::{train_script, TrainingConfig};
 use sedspec::response::highest_alert;
-use sedspec::spec::ExecutionSpecification;
 use sedspec_dbl::interp::ExecLimits;
 use sedspec_repro::devices::{build_device, DeviceKind, QemuVersion};
 use sedspec_repro::obs::{ObsHub, ScopeInfo};
 use sedspec_repro::vmm::{IoRequest, VmContext};
-use sedspec_repro::workloads::attacks::{poc, Cve};
+use sedspec_repro::workloads::attacks::{poc, Cve, Poc};
 use sedspec_repro::workloads::generators::{eval_case, training_suite};
 use sedspec_repro::workloads::InteractionMode;
 
-fn train(kind: DeviceKind, version: QemuVersion, cases: usize) -> ExecutionSpecification {
+fn train(kind: DeviceKind, version: QemuVersion, cases: usize) -> Arc<CompiledSpec> {
     let mut device = build_device(kind, version);
     device.set_limits(ExecLimits { max_steps: 50_000, ..ExecLimits::default() });
     let mut ctx = VmContext::new(0x200000, 8192);
     let suite = training_suite(kind, cases, 0x7a11);
-    train_script(&mut device, &mut ctx, &suite, &TrainingConfig::default()).expect("training")
+    let spec =
+        train_script(&mut device, &mut ctx, &suite, &TrainingConfig::default()).expect("training");
+    Arc::new(CompiledSpec::compile(Arc::new(spec)))
 }
 
-/// Drives both engines through `steps` and asserts lockstep equality.
-fn assert_engines_agree(
+/// How one side of a lockstep comparison is built and driven.
+#[derive(Debug, Clone, Copy)]
+struct Side {
+    engine: Engine,
+    /// Attach an `ObsHub` sink.
+    observed: bool,
+    /// Submit through `handle_batch` in runs of this many requests;
+    /// `None` submits every round through `handle_io`.
+    chunk: Option<usize>,
+}
+
+impl Side {
+    const COMPILED: Side = Side { engine: Engine::Compiled, observed: false, chunk: None };
+    const INTERPRETED: Side = Side { engine: Engine::Interpreted, ..Side::COMPILED };
+
+    fn observed(self) -> Side {
+        Side { observed: true, ..self }
+    }
+
+    fn batched(self, chunk: usize) -> Side {
+        Side { chunk: Some(chunk), ..self }
+    }
+}
+
+/// The traffic and configuration both sides of a comparison share.
+struct Case<'a> {
     kind: DeviceKind,
     version: QemuVersion,
-    spec: &ExecutionSpecification,
+    compiled: &'a Arc<CompiledSpec>,
+    steps: &'a [TrainStep],
     mode: WorkingMode,
-    steps: &[TrainStep],
-) -> Result<(), TestCaseError> {
-    let build = |engine| {
-        let mut device = build_device(kind, version);
-        device.set_limits(ExecLimits { max_steps: 50_000, ..ExecLimits::default() });
-        EnforcingDevice::new(device, spec.clone(), mode).with_engine(engine)
-    };
-    let mut compiled = build(Engine::Compiled);
-    let mut interp = build(Engine::Interpreted);
-    let mut ctx_c = VmContext::new(0x200000, 8192);
-    let mut ctx_i = VmContext::new(0x200000, 8192);
+    /// Run both sides in warn-only degraded mode.
+    degraded: bool,
+}
 
-    for (round, step) in steps.iter().enumerate() {
-        let req_c = apply_step(step, &mut ctx_c);
-        let req_i = apply_step(step, &mut ctx_i);
-        prop_assert_eq!(&req_c, &req_i, "{} round {}: request streams diverged", kind, round);
-        let Some(req) = req_c else { continue };
-        if compiled.device.route(req).is_none() {
-            continue;
+/// Builds one side and drives it through the case's steps, returning
+/// its verdicts and the enforcer. Batched sides flush their pending run
+/// before every non-I/O step (guest memory writes, delays), exactly as
+/// a pool drains before foreign events.
+fn drive(case: &Case, side: Side) -> (Vec<IoVerdict>, EnforcingDevice) {
+    fn flush(
+        enforcer: &mut EnforcingDevice,
+        ctx: &mut VmContext,
+        pending: &mut Vec<&IoRequest>,
+        verdicts: &mut Vec<IoVerdict>,
+    ) {
+        let mut consumed = 0;
+        while consumed < pending.len() {
+            let n = enforcer.handle_batch(ctx, &pending[consumed..], verdicts);
+            assert!(n > 0, "a non-empty batch consumes at least one round");
+            consumed += n;
         }
-        let vc = compiled.handle_io(&mut ctx_c, req);
-        let vi = interp.handle_io(&mut ctx_i, req_i.unwrap());
+        pending.clear();
+    }
+
+    let mut device = build_device(case.kind, case.version);
+    device.set_limits(ExecLimits { max_steps: 50_000, ..ExecLimits::default() });
+    let mut enforcer = EnforcingDevice::new_compiled(device, Arc::clone(case.compiled), case.mode)
+        .with_engine(side.engine);
+    if case.degraded {
+        enforcer.degrade();
+    }
+    if side.observed {
+        let hub = Arc::new(ObsHub::new());
+        enforcer.set_sink(Some(hub.sink(ScopeInfo::device(case.kind.to_string()))));
+    }
+    let mut ctx = VmContext::new(0x200000, 8192);
+    let mut verdicts = Vec::new();
+    let mut pending = Vec::new();
+    for step in case.steps {
+        match (step, side.chunk) {
+            (TrainStep::Io(req), None) => verdicts.push(enforcer.handle_io(&mut ctx, req)),
+            (TrainStep::Io(req), Some(chunk)) => {
+                pending.push(req);
+                if pending.len() >= chunk {
+                    flush(&mut enforcer, &mut ctx, &mut pending, &mut verdicts);
+                }
+            }
+            _ => {
+                flush(&mut enforcer, &mut ctx, &mut pending, &mut verdicts);
+                apply_step(step, &mut ctx);
+            }
+        }
+    }
+    flush(&mut enforcer, &mut ctx, &mut pending, &mut verdicts);
+    (verdicts, enforcer)
+}
+
+/// Drives sides `a` and `b` through the case and asserts they agree on
+/// every verdict and alert level, and on the final `EnforceStats`,
+/// halt latch, committed shadow and command scope. Degraded sides must
+/// never halt.
+fn assert_lockstep(case: &Case, a: Side, b: Side) -> Result<(), TestCaseError> {
+    let (va, ea) = drive(case, a);
+    let (vb, eb) = drive(case, b);
+    let (kind, mode, degraded) = (case.kind, case.mode, case.degraded);
+    let at = format!("{kind} {mode:?} degraded={degraded} {a:?} vs {b:?}");
+    prop_assert_eq!(va.len(), vb.len(), "{}: verdict counts diverged", at);
+    for (round, (x, y)) in va.iter().zip(&vb).enumerate() {
+        prop_assert_eq!(x, y, "{} round {}: verdicts diverged", at, round);
         prop_assert_eq!(
-            &vc,
-            &vi,
-            "{} {:?} round {}: verdicts diverged on {:?}",
-            kind,
-            mode,
-            round,
-            step
+            highest_alert(x.violations()),
+            highest_alert(y.violations()),
+            "{} round {}: alert levels diverged",
+            at,
+            round
         );
-        prop_assert_eq!(
-            highest_alert(vc.violations()),
-            highest_alert(vi.violations()),
-            "{} {:?} round {}: alert levels diverged",
-            kind,
-            mode,
+        prop_assert!(
+            !(degraded && matches!(x, IoVerdict::Halted { .. })),
+            "{} round {}: a degraded enforcer halted",
+            at,
             round
         );
     }
-
-    prop_assert_eq!(compiled.stats, interp.stats, "{} {:?}: EnforceStats diverged", kind, mode);
+    prop_assert_eq!(ea.stats, eb.stats, "{}: EnforceStats diverged", at);
+    prop_assert_eq!(ea.is_halted(), eb.is_halted(), "{}: halt latches diverged", at);
     prop_assert_eq!(
-        compiled.is_halted(),
-        interp.is_halted(),
-        "{} {:?}: halt latches diverged",
-        kind,
-        mode
+        ea.checker().shadow(),
+        eb.checker().shadow(),
+        "{}: committed shadow states diverged",
+        at
     );
     prop_assert_eq!(
-        compiled.checker().shadow(),
-        interp.checker().shadow(),
-        "{} {:?}: committed shadow states diverged",
-        kind,
-        mode
-    );
-    prop_assert_eq!(
-        compiled.checker().cmd_ctx(),
-        interp.checker().cmd_ctx(),
-        "{} {:?}: command scopes diverged",
-        kind,
-        mode
+        ea.checker().cmd_ctx(),
+        eb.checker().cmd_ctx(),
+        "{}: command scopes diverged",
+        at
     );
     Ok(())
 }
 
-fn run_differential(kind: DeviceKind, seed: u64) -> Result<(), TestCaseError> {
-    let spec = train(kind, QemuVersion::Patched, 40);
-    // Even seeds stay benign; odd seeds inject rare/hostile operations
-    // so the violation paths (halts, warnings, aborts) are compared too.
+/// A random eval stream: even seeds stay benign; odd seeds inject
+/// rare/hostile operations so the violation paths (halts, warnings,
+/// aborts) are compared too.
+fn eval_stream(kind: DeviceKind, seed: u64) -> Vec<TrainStep> {
     let rare = if seed.is_multiple_of(2) { 0.0 } else { 0.25 };
-    let mode = InteractionMode::all()[(seed % 3) as usize];
-    let steps = eval_case(kind, mode, rare, seed);
-    for working in [WorkingMode::Protection, WorkingMode::Enhancement] {
-        assert_engines_agree(kind, QemuVersion::Patched, &spec, working, &steps)?;
+    eval_case(kind, InteractionMode::all()[(seed % 3) as usize], rare, seed)
+}
+
+/// A CVE proof-of-concept stream against the device version it targets.
+fn poc_case<'a>(
+    p: &'a Poc,
+    compiled: &'a Arc<CompiledSpec>,
+    mode: WorkingMode,
+    degraded: bool,
+) -> Case<'a> {
+    Case { kind: p.device, version: p.qemu_version, compiled, steps: &p.steps, mode, degraded }
+}
+
+/// Compiled ≡ interpreted in both working modes; on hostile streams
+/// also in degraded (warn-only) mode.
+fn run_differential(kind: DeviceKind, seed: u64) -> Result<(), TestCaseError> {
+    let compiled = train(kind, QemuVersion::Patched, 40);
+    let steps = eval_stream(kind, seed);
+    let hostile = !seed.is_multiple_of(2);
+    let degraded_modes: &[bool] = if hostile { &[false, true] } else { &[false] };
+    for mode in [WorkingMode::Protection, WorkingMode::Enhancement] {
+        for &degraded in degraded_modes {
+            let version = QemuVersion::Patched;
+            let case = Case { kind, version, compiled: &compiled, steps: &steps, mode, degraded };
+            assert_lockstep(&case, Side::COMPILED, Side::INTERPRETED)?;
+        }
     }
     Ok(())
 }
@@ -152,159 +242,47 @@ proptest! {
 
 /// Every CVE proof-of-concept stream (including the known-miss case)
 /// renders identical verdicts on both engines, in both working modes,
-/// against the vulnerable device version it targets.
+/// normal and degraded, against the vulnerable device version it
+/// targets.
 #[test]
 fn cve_pocs_render_identical_verdicts() {
     for cve in Cve::all_with_known_miss() {
         let p = poc(cve);
-        let spec = train(p.device, p.qemu_version, 60);
+        let compiled = train(p.device, p.qemu_version, 60);
         for mode in [WorkingMode::Protection, WorkingMode::Enhancement] {
-            assert_engines_agree(p.device, p.qemu_version, &spec, mode, &p.steps)
-                .unwrap_or_else(|e| panic!("{}: {}", p.cve.id(), e));
-        }
-    }
-}
-
-/// Drives one compiled enforcer per round and a second through
-/// [`EnforcingDevice::handle_batch`] in `chunk`-request submissions,
-/// asserting the batched amortization is unobservable: same verdict
-/// sequence, same alert levels, same final [`sedspec::enforce::EnforceStats`]
-/// (aborts included), same halt latch, committed shadow bytes and
-/// command scope. Non-I/O steps (guest memory writes, delays) flush the
-/// pending chunk first, exactly as a pool drains before foreign events.
-fn assert_batched_matches_sequential(
-    kind: DeviceKind,
-    version: QemuVersion,
-    compiled: &Arc<CompiledSpec>,
-    mode: WorkingMode,
-    steps: &[TrainStep],
-    chunk: usize,
-) -> Result<(), TestCaseError> {
-    let build = || {
-        let mut device = build_device(kind, version);
-        device.set_limits(ExecLimits { max_steps: 50_000, ..ExecLimits::default() });
-        EnforcingDevice::new_compiled(device, Arc::clone(compiled), mode)
-    };
-    let mut seq = build();
-    let mut bat = build();
-    let mut ctx_s = VmContext::new(0x200000, 8192);
-    let mut ctx_b = VmContext::new(0x200000, 8192);
-    let mut verdicts_s: Vec<IoVerdict> = Vec::new();
-    let mut verdicts_b: Vec<IoVerdict> = Vec::new();
-    let mut pending: Vec<IoRequest> = Vec::new();
-
-    fn flush(
-        bat: &mut EnforcingDevice,
-        ctx: &mut VmContext,
-        pending: &mut Vec<IoRequest>,
-        verdicts: &mut Vec<IoVerdict>,
-    ) {
-        let refs: Vec<&IoRequest> = pending.iter().collect();
-        let mut consumed = 0;
-        while consumed < refs.len() {
-            let n = bat.handle_batch(ctx, &refs[consumed..], verdicts);
-            assert!(n > 0, "a non-empty batch consumes at least one round");
-            consumed += n;
-        }
-        pending.clear();
-    }
-
-    for step in steps {
-        if let TrainStep::Io(req) = step {
-            verdicts_s.push(seq.handle_io(&mut ctx_s, req));
-            pending.push(req.clone());
-            if pending.len() >= chunk {
-                flush(&mut bat, &mut ctx_b, &mut pending, &mut verdicts_b);
+            for degraded in [false, true] {
+                let case = poc_case(&p, &compiled, mode, degraded);
+                assert_lockstep(&case, Side::COMPILED, Side::INTERPRETED)
+                    .unwrap_or_else(|e| panic!("{}: {}", p.cve.id(), e));
             }
-        } else {
-            flush(&mut bat, &mut ctx_b, &mut pending, &mut verdicts_b);
-            apply_step(step, &mut ctx_b);
-            apply_step(step, &mut ctx_s);
         }
     }
-    flush(&mut bat, &mut ctx_b, &mut pending, &mut verdicts_b);
+}
 
-    prop_assert_eq!(
-        verdicts_s.len(),
-        verdicts_b.len(),
-        "{} {:?} chunk {}: verdict counts diverged",
-        kind,
-        mode,
-        chunk
-    );
-    for (round, (vs, vb)) in verdicts_s.iter().zip(&verdicts_b).enumerate() {
-        prop_assert_eq!(
-            vs,
-            vb,
-            "{} {:?} chunk {} round {}: batched verdict diverged",
-            kind,
-            mode,
-            chunk,
-            round
-        );
-        prop_assert_eq!(
-            highest_alert(vs.violations()),
-            highest_alert(vb.violations()),
-            "{} {:?} chunk {} round {}: alert levels diverged",
-            kind,
-            mode,
-            chunk,
-            round
-        );
+/// Batched ≡ sequential, and observed ≡ unobserved both round by round
+/// and batched, over one random chunk size. Batching must be
+/// unobservable (hostile rounds stop the batch and re-drive
+/// sequentially), and attaching a sink must not change a verdict.
+fn run_batched_differential(kind: DeviceKind, seed: u64) -> Result<(), TestCaseError> {
+    let compiled = train(kind, QemuVersion::Patched, 40);
+    let steps = eval_stream(kind, seed);
+    let chunk = [1, 2, 3, 5, 16, 64, 256][(seed % 7) as usize];
+    for mode in [WorkingMode::Protection, WorkingMode::Enhancement] {
+        let version = QemuVersion::Patched;
+        let case =
+            Case { kind, version, compiled: &compiled, steps: &steps, mode, degraded: false };
+        for (a, b) in batch_and_sink_pairs(chunk) {
+            assert_lockstep(&case, a, b)?;
+        }
     }
-    prop_assert_eq!(
-        seq.stats,
-        bat.stats,
-        "{} {:?} chunk {}: EnforceStats diverged",
-        kind,
-        mode,
-        chunk
-    );
-    prop_assert_eq!(
-        seq.is_halted(),
-        bat.is_halted(),
-        "{} {:?} chunk {}: halt latches diverged",
-        kind,
-        mode,
-        chunk
-    );
-    prop_assert_eq!(
-        seq.checker().shadow(),
-        bat.checker().shadow(),
-        "{} {:?} chunk {}: committed shadow states diverged",
-        kind,
-        mode,
-        chunk
-    );
-    prop_assert_eq!(
-        seq.checker().cmd_ctx(),
-        bat.checker().cmd_ctx(),
-        "{} {:?} chunk {}: command scopes diverged",
-        kind,
-        mode,
-        chunk
-    );
     Ok(())
 }
 
-fn run_batched_differential(kind: DeviceKind, seed: u64) -> Result<(), TestCaseError> {
-    let spec = train(kind, QemuVersion::Patched, 40);
-    let compiled = Arc::new(CompiledSpec::compile(Arc::new(spec)));
-    let rare = if seed.is_multiple_of(2) { 0.0 } else { 0.25 };
-    let mode = InteractionMode::all()[(seed % 3) as usize];
-    let steps = eval_case(kind, mode, rare, seed);
-    let chunk = [1, 2, 3, 5, 16, 64, 256][(seed % 7) as usize];
-    for working in [WorkingMode::Protection, WorkingMode::Enhancement] {
-        assert_batched_matches_sequential(
-            kind,
-            QemuVersion::Patched,
-            &compiled,
-            working,
-            &steps,
-            chunk,
-        )?;
-    }
-    Ok(())
+/// The side pairs that pin batching and observation as unobservable.
+fn batch_and_sink_pairs(chunk: usize) -> [(Side, Side); 3] {
+    let seq = Side::COMPILED;
+    let bat = Side::COMPILED.batched(chunk);
+    [(seq, bat), (seq, seq.observed()), (bat, bat.observed())]
 }
 
 proptest! {
@@ -337,26 +315,20 @@ proptest! {
 }
 
 /// Every CVE proof-of-concept stream produces the same verdicts whether
-/// submitted round by round or through the batched path — hostile
-/// rounds stop the batch and re-drive sequentially, so detection
-/// ordering must be bit-identical.
+/// submitted round by round or through the batched path, with or
+/// without a sink — detection ordering must be bit-identical.
 #[test]
 fn cve_pocs_batched_matches_sequential() {
     for cve in Cve::all_with_known_miss() {
         let p = poc(cve);
-        let spec = train(p.device, p.qemu_version, 60);
-        let compiled = Arc::new(CompiledSpec::compile(Arc::new(spec)));
+        let compiled = train(p.device, p.qemu_version, 60);
         for mode in [WorkingMode::Protection, WorkingMode::Enhancement] {
+            let case = poc_case(&p, &compiled, mode, false);
             for chunk in [1, 7, 256] {
-                assert_batched_matches_sequential(
-                    p.device,
-                    p.qemu_version,
-                    &compiled,
-                    mode,
-                    &p.steps,
-                    chunk,
-                )
-                .unwrap_or_else(|e| panic!("{}: {}", p.cve.id(), e));
+                for (a, b) in batch_and_sink_pairs(chunk) {
+                    assert_lockstep(&case, a, b)
+                        .unwrap_or_else(|e| panic!("{}: {}", p.cve.id(), e));
+                }
             }
         }
     }
@@ -368,8 +340,8 @@ fn cve_pocs_batched_matches_sequential() {
 #[test]
 fn pgo_layout_preserves_verdicts() {
     for kind in [DeviceKind::Fdc, DeviceKind::Pcnet, DeviceKind::Sdhci] {
-        let spec = train(kind, QemuVersion::Patched, 40);
-        let identity = Arc::new(CompiledSpec::compile(Arc::new(spec.clone())));
+        let identity = train(kind, QemuVersion::Patched, 40);
+        let spec = identity.spec().clone();
 
         // Warm a sinked checker on a short benign stream to accumulate
         // block heat, then recompile with the profile — the same

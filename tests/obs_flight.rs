@@ -3,7 +3,9 @@
 //! halt — the walked ES-block path (labelled from the compiled
 //! specification), the shadow-state byte diff of the aborted round,
 //! and the scope's recent trace events — while the paper's documented
-//! miss (CVE-2016-1568) must leave the flight recorder empty.
+//! miss (CVE-2016-1568) must leave the flight recorder empty. A
+//! degraded (warn-only) enforcer records the same violations as
+//! `Warned`.
 
 use std::sync::Arc;
 
@@ -26,9 +28,10 @@ fn trained(kind: DeviceKind, version: QemuVersion) -> ExecutionSpecification {
     train_script(&mut device, &mut ctx, &suite, &TrainingConfig::default()).unwrap()
 }
 
-/// Replays `cve`'s PoC under observed protection-mode enforcement.
-/// Returns the hub and whether a halt was reached.
-fn run_poc_observed(cve: Cve) -> (Arc<ObsHub>, bool) {
+/// Replays `cve`'s PoC under observed protection-mode enforcement,
+/// optionally in warn-only degraded mode. Returns the hub and whether
+/// a halt was reached.
+fn run_poc_observed(cve: Cve, degraded: bool) -> (Arc<ObsHub>, bool) {
     let p = poc(cve);
     let spec = trained(p.device, p.qemu_version);
     let mut device = build_device(p.device, p.qemu_version);
@@ -36,6 +39,9 @@ fn run_poc_observed(cve: Cve) -> (Arc<ObsHub>, bool) {
     let hub = Arc::new(ObsHub::new());
     let mut enforcer = EnforcingDevice::new(device, spec, WorkingMode::Protection)
         .with_sink(hub.sink(ScopeInfo::device(p.device.to_string())));
+    if degraded {
+        enforcer.degrade();
+    }
     let mut ctx = VmContext::new(0x200000, 8192);
     let mut halted = false;
     for step in &p.steps {
@@ -51,7 +57,7 @@ fn run_poc_observed(cve: Cve) -> (Arc<ObsHub>, bool) {
 #[test]
 fn every_halting_cve_poc_yields_a_forensic_record() {
     for cve in Cve::all() {
-        let (hub, halted) = run_poc_observed(cve);
+        let (hub, halted) = run_poc_observed(cve, false);
         assert!(halted, "{}: the PoC must halt under protection", cve.id());
         let records = hub.forensics();
         assert!(!records.is_empty(), "{}: halt must freeze a flight record", cve.id());
@@ -94,6 +100,29 @@ fn every_halting_cve_poc_yields_a_forensic_record() {
                 TraceEventKind::BlockStep { .. } | TraceEventKind::RoundBegin { .. }
             )),
             "{}: frozen tail must show the walk in progress",
+            cve.id()
+        );
+    }
+}
+
+/// A degraded tenant is warn-only, but its violations are still frozen
+/// into flight records: every PoC that halts a healthy enforcer leaves
+/// a `Warned` record naming the violated block on a degraded one.
+#[test]
+fn degraded_enforcers_keep_their_flight_records() {
+    for cve in Cve::all() {
+        let (hub, halted) = run_poc_observed(cve, true);
+        assert!(!halted, "{}: a degraded enforcer must never halt", cve.id());
+        let records = hub.forensics();
+        let warned = records
+            .iter()
+            .find(|r| r.data.verdict == VerdictKind::Warned && r.data.violated.is_some())
+            .unwrap_or_else(|| panic!("{}: a degraded violation must freeze a record", cve.id()));
+        let violated = warned.data.violated.as_ref().unwrap();
+        let text = warned.render();
+        assert!(
+            text.contains(&format!("violated block: p{}/b{}", violated.program, violated.block)),
+            "{}: render must name the violated block:\n{text}",
             cve.id()
         );
     }
@@ -167,7 +196,7 @@ fn forensic_records_survive_an_injected_sink_fault() {
 
 #[test]
 fn the_documented_miss_leaves_no_flight_record() {
-    let (hub, halted) = run_poc_observed(Cve::Cve2016_1568);
+    let (hub, halted) = run_poc_observed(Cve::Cve2016_1568, false);
     assert!(!halted, "CVE-2016-1568 is the paper's documented miss");
     assert!(hub.forensics().is_empty(), "a PoC that evades detection must not fabricate forensics");
     // The rounds themselves were still traced.
