@@ -474,7 +474,7 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
     let aggregate = report.aggregate();
     let mut summed = sedspec::enforce::EnforceStats::default();
     for t in report.tenants() {
-        summed += t.stats;
+        summed.merge(&t.stats);
     }
     if aggregate != summed {
         eprintln!("FAIL: aggregate stats diverge from per-tenant sum");

@@ -13,6 +13,7 @@ use std::collections::HashMap;
 
 use parking_lot::Mutex;
 use sedspec_fleet::{FaultAction, FaultKind, FaultPoint, FaultSite};
+use sedspec_workloads::splitmix64;
 
 use crate::plan::FaultPlan;
 
@@ -31,13 +32,6 @@ fn site_key(site: &FaultSite) -> u64 {
     } else {
         0
     }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[derive(Default)]

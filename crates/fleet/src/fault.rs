@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sedspec_devices::DeviceKind;
-use sedspec_obs::{ForensicData, ObsSink, TraceEventKind};
+use sedspec_obs::{EnforceStats, ForensicData, ObsSink, TraceEventKind};
 use serde::{Deserialize, Serialize};
 
 /// The typed faults the runtime knows how to inject (and recover from).
@@ -218,6 +218,12 @@ impl ObsSink for FaultySink {
 
     fn wants_forensics(&self) -> bool {
         self.inner.wants_forensics()
+    }
+
+    /// Forwarded without consulting the fault seam: the ledger delta is
+    /// no event, so chaos invocation counters never see it.
+    fn counts(&self, delta: &EnforceStats) {
+        self.inner.counts(delta);
     }
 }
 

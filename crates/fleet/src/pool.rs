@@ -20,7 +20,8 @@
 //!   a bounded restart budget ([`RecoveryConfig`]); its tenants are
 //!   re-hosted from their stored configs with quarantine, degradation
 //!   and spent rollback budget carried over (sticky state), so a
-//!   compromised tenant cannot launder its record through a crash;
+//!   compromised tenant cannot launder its record through a crash (its
+//!   `EnforceStats` restart from zero; a hub's counters do not);
 //! * submits are bounded: a shard with too many batches in flight
 //!   rejects with [`PoolError::Saturated`] instead of queueing without
 //!   limit, and [`EnforcementPool::wait`] can enforce a per-batch
@@ -388,7 +389,7 @@ impl TenantRuntime {
                 let fresh =
                     deploy_compiled(build_device(slot.kind, slot.version), compiled, self.mode);
                 let old = std::mem::replace(&mut slot.enforcer, fresh);
-                self.retired += old.stats;
+                self.retired.merge(&old.stats);
                 slot.key = key;
                 slot.epoch = epoch;
                 if self.degraded {
@@ -411,7 +412,7 @@ impl TenantRuntime {
     fn total_stats(&self) -> EnforceStats {
         let mut total = self.retired;
         for slot in &self.slots {
-            total += slot.enforcer.stats;
+            total.merge(&slot.enforcer.stats);
         }
         total
     }
@@ -604,7 +605,7 @@ impl TenantRuntime {
             quarantined: self.quarantined,
             rejected: false,
             degraded: self.degraded,
-            stats: stats_delta(&after, &before),
+            stats: after.since(&before),
             alert: worst,
         }
     }
@@ -620,19 +621,6 @@ impl TenantRuntime {
             stats: self.total_stats(),
             specs: self.slots.iter().map(|s| s.key).collect(),
         }
-    }
-}
-
-fn stats_delta(after: &EnforceStats, before: &EnforceStats) -> EnforceStats {
-    EnforceStats {
-        rounds: after.rounds - before.rounds,
-        precheck_complete: after.precheck_complete - before.precheck_complete,
-        synced_rounds: after.synced_rounds - before.synced_rounds,
-        warnings: after.warnings - before.warnings,
-        halts: after.halts - before.halts,
-        aborts: after.aborts - before.aborts,
-        check_blocks: after.check_blocks - before.check_blocks,
-        check_syncs: after.check_syncs - before.check_syncs,
     }
 }
 

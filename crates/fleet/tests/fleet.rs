@@ -9,6 +9,7 @@ use sedspec::response::AlertLevel;
 use sedspec_devices::{build_device, DeviceKind, QemuVersion};
 use sedspec_fleet::pool::{EnforcementPool, TenantConfig, TenantId};
 use sedspec_fleet::registry::SpecRegistry;
+use sedspec_fleet::{FaultAction, FaultKind, FaultPoint, FaultSite};
 use sedspec_vmm::VmContext;
 use sedspec_workloads::attacks::{poc, Cve};
 use sedspec_workloads::generators::training_suite;
@@ -82,7 +83,7 @@ fn verdicts_and_stats_do_not_depend_on_shard_count() {
     // The aggregate is exactly the sum of per-tenant stats.
     let mut summed = EnforceStats::default();
     for t in par_report.tenants() {
-        summed += t.stats;
+        summed.merge(&t.stats);
     }
     assert_eq!(par_report.aggregate(), summed);
     assert_eq!(par_report.tenant_count(), 6);
@@ -183,29 +184,66 @@ fn publishing_a_revision_retargets_tenants_at_their_next_batch() {
     assert_eq!(status.stats.rounds, rounds_before + after.stats.rounds);
 }
 
+/// Fails tenant 2's compiled engine from its second batch on, so the
+/// tenant degrades after it has served rounds; every other site
+/// proceeds.
+#[derive(Debug, Default)]
+struct DegradeTenantTwo(std::sync::atomic::AtomicU32);
+
+impl FaultPoint for DegradeTenantTwo {
+    fn check(&self, site: &FaultSite) -> FaultAction {
+        match (site.kind, site.tenant) {
+            (FaultKind::DeviceStepError, Some(2))
+                if self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed) > 0 =>
+            {
+                FaultAction::Fail
+            }
+            _ => FaultAction::Proceed,
+        }
+    }
+}
+
 #[test]
 fn observed_pool_records_lifecycle_alerts_and_forensics() {
-    use sedspec_obs::{ObsHub, TraceEventKind};
+    use sedspec_obs::{ObsConfig, ObsHub, TraceEventKind, VerdictKind};
 
     let registry = Arc::new(SpecRegistry::new());
     publish_channel(&registry, DeviceKind::Fdc, QemuVersion::V2_3_0, 6);
 
-    let hub = Arc::new(ObsHub::new());
-    let mut pool = EnforcementPool::with_obs(2, Arc::clone(&registry), &hub);
-    for t in 0..2u64 {
+    // A ring large enough to keep the lifecycle events the test asserts.
+    let ring_capacity = 1 << 16;
+    let hub = Arc::new(ObsHub::with_config(ObsConfig { ring_capacity, ..ObsConfig::default() }));
+    let mut pool = EnforcementPool::with_obs(2, Arc::clone(&registry), &hub)
+        .with_faults(Arc::new(DegradeTenantTwo::default()));
+    for t in 0..3u64 {
         let cfg = TenantConfig::new(t).with_devices(vec![(DeviceKind::Fdc, QemuVersion::V2_3_0)]);
         pool.add_tenant(cfg).unwrap();
     }
+    let mut run = |tenant: u64, steps: Vec<sedspec::collect::TrainStep>| {
+        let ticket = pool.submit_steps(TenantId(tenant), steps).unwrap();
+        pool.wait(ticket).unwrap()
+    };
 
-    // Republishing after attach emits the publish event (compile is
-    // cached from the first publish, so no second compile event).
+    // Benign traffic on tenants 1 and 2.
+    for t in 1..3 {
+        run(t, benign_batch(DeviceKind::Fdc, t, 0));
+    }
+
+    // Republishing mid-stream emits the publish event (compile is
+    // cached from the first publish, so no second compile event) and
+    // hot-swaps every tenant at its next batch.
     publish_channel(&registry, DeviceKind::Fdc, QemuVersion::V2_3_0, 6);
 
-    // Drive tenant 0 through rollback into quarantine.
+    // Drive tenant 0 through rollback into quarantine. Tenant 2
+    // degrades at its next batch boundary, so it only warns on the
+    // same PoC.
     let venom = poc(Cve::Cve2015_3456);
     for _ in 0..2 {
-        let ticket = pool.submit_steps(TenantId(0), venom.steps.clone()).unwrap();
-        let _ = pool.wait(ticket).unwrap();
+        run(0, venom.steps.clone());
+    }
+    run(2, venom.steps.clone());
+    for t in 1..3 {
+        run(t, benign_batch(DeviceKind::Fdc, t, 1));
     }
 
     // Alert stream: pool-wide monotonic seq, round indices populated.
@@ -217,7 +255,8 @@ fn observed_pool_records_lifecycle_alerts_and_forensics() {
     assert!(rendered.contains(&format!("#{} round {}", alerts[0].seq, alerts[0].round)));
 
     // Trace ring: shard/tenant lifecycle and the hot-swap all recorded.
-    let events = hub.recent_events(4096);
+    let events = hub.recent_events(ring_capacity);
+    assert_eq!(hub.dropped_events(), 0);
     let has = |pred: &dyn Fn(&TraceEventKind) -> bool| events.iter().any(|e| pred(&e.kind));
     assert!(has(&|k| matches!(k, TraceEventKind::ShardStarted { .. })));
     assert!(has(&|k| matches!(k, TraceEventKind::TenantAdded { .. })));
@@ -229,11 +268,42 @@ fn observed_pool_records_lifecycle_alerts_and_forensics() {
     // Every halt froze a forensic record naming the tenant's device.
     let records = hub.forensics();
     assert!(!records.is_empty(), "halting PoC must leave flight-recorder records");
-    assert!(records.iter().all(|r| r.scope.device == "FDC" && r.scope.tenant == Some(0)));
+    assert!(records.iter().all(|r| r.scope.device == "FDC"));
+    // Tenant 0 halted; the degraded tenant 2 recorded its warnings.
+    for r in &records {
+        let halted = r.data.verdict == VerdictKind::Halted;
+        assert_eq!(r.scope.tenant, Some(if halted { 0 } else { 2 }));
+    }
 
-    // Metrics: the per-tenant alert counter saw tenant 0 only.
+    // Metrics: the per-tenant alert counter saw tenants 0 and 2 only.
     assert!(hub.metrics().counter("sedspec_alerts_total", Some(("tenant", "0"))) > 0);
+    assert!(hub.metrics().counter("sedspec_alerts_total", Some(("tenant", "2"))) > 0);
     assert_eq!(hub.metrics().counter("sedspec_alerts_total", Some(("tenant", "1"))), 0);
+
+    // The exported round counters are the ledger: per-device sums equal
+    // the fleet aggregate, tenant series each tenant's status.
+    let report = pool.report();
+    let fleet = report.aggregate();
+    assert!(fleet.halts > 0 && fleet.warnings > 0 && fleet.aborts > 0);
+    let m = hub.metrics();
+    for (name, field) in [
+        ("sedspec_rounds_total", fleet.rounds),
+        ("sedspec_halts_total", fleet.halts),
+        ("sedspec_warnings_total", fleet.warnings),
+        ("sedspec_aborts_total", fleet.aborts),
+        ("sedspec_sync_fetch_total", fleet.check_syncs),
+    ] {
+        assert_eq!(m.sum_counter(name), field, "{name}");
+    }
+    let tenants = report.tenants();
+    assert_eq!(tenants.len(), 3);
+    assert!(tenants[0].quarantined && tenants[2].degraded);
+    for status in tenants {
+        let t = status.tenant.0.to_string();
+        let series = |name| m.counter(name, Some(("tenant", t.as_str())));
+        assert_eq!(series("sedspec_tenant_rounds_total"), status.stats.rounds, "tenant {t}");
+        assert_eq!(series("sedspec_tenant_aborts_total"), status.stats.aborts, "tenant {t}");
+    }
 }
 
 #[test]
@@ -250,13 +320,12 @@ fn enforce_stats_merge_is_field_wise_addition() {
     };
     let b = EnforceStats { rounds: 3, check_blocks: 50, ..EnforceStats::default() };
     let mut m = a;
-    m += b;
+    m.merge(&b);
     assert_eq!(m.rounds, 8);
     assert_eq!(m.check_blocks, 150);
     assert_eq!(m.precheck_complete, 4);
     assert_eq!(m.aborts, 2);
-    assert_eq!(a + b, m);
-    let mut via_merge = a;
-    via_merge.merge(&b);
-    assert_eq!(via_merge, m);
+    // `since` is the inverse: what accrued on top of an earlier reading.
+    assert_eq!(m.since(&a), b);
+    assert_eq!(m.since(&b), a);
 }

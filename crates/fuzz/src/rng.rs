@@ -1,16 +1,10 @@
 //! The fuzzer's deterministic random stream.
 //!
-//! Same splitmix64 core as `sedspec-chaos` uses for fault injection:
+//! The same `sedspec_workloads::splitmix64` core fault injection uses:
 //! no wall clock, no OS entropy, every draw a pure function of the
 //! seed, so a campaign is bit-for-bit replayable from `(seed, corpus)`.
 
-/// One splitmix64 scramble step.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use sedspec_workloads::splitmix64;
 
 /// Deterministic generator over a splitmix64 walk.
 #[derive(Debug, Clone)]

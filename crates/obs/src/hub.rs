@@ -16,6 +16,7 @@ use crate::event::{ScopeId, ScopeInfo, TraceEvent, TraceEventKind, VerdictKind};
 use crate::flight::{FlightRecorder, ForensicData, ForensicRecord};
 use crate::metrics::MetricsRegistry;
 use crate::sink::ScopedSink;
+use crate::stats::EnforceStats;
 use crate::trace::TraceRecorder;
 use crate::window::{TenantHealth, WindowConfig, WindowReport, WindowedMetrics};
 
@@ -39,6 +40,8 @@ impl Default for ObsConfig {
 #[derive(Debug)]
 struct ScopeState {
     info: ScopeInfo,
+    /// The `tenant` label value, rendered once at registration.
+    tenant: Option<String>,
     round: u64,
 }
 
@@ -120,7 +123,8 @@ impl ObsHub {
     pub fn register_scope(&self, info: ScopeInfo) -> ScopeId {
         let mut inner = self.inner.lock();
         let id = ScopeId(inner.scopes.len() as u32);
-        inner.scopes.push(ScopeState { info, round: 0 });
+        let tenant = info.tenant.map(|t| t.to_string());
+        inner.scopes.push(ScopeState { info, tenant, round: 0 });
         id
     }
 
@@ -130,19 +134,11 @@ impl ObsHub {
         Arc::new(ScopedSink::new(Arc::clone(self), scope))
     }
 
-    /// A sink bound to an already-registered scope.
-    pub fn sink_for(self: &Arc<Self>, scope: ScopeId) -> Arc<ScopedSink> {
-        Arc::new(ScopedSink::new(Arc::clone(self), scope))
-    }
-
-    /// The registered identity behind `scope`.
-    pub fn scope_info(&self, scope: ScopeId) -> ScopeInfo {
-        self.inner.lock().scopes[scope.0 as usize].info.clone()
-    }
-
     /// Stamps and records one event, updating metrics and the heat map.
+    /// Round counters come from [`ObsHub::counts`] instead.
     pub fn record(&self, scope: ScopeId, kind: TraceEventKind) {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         inner.seq += 1;
         let seq = inner.seq;
         let state = &mut inner.scopes[scope.0 as usize];
@@ -150,74 +146,35 @@ impl ObsHub {
             state.round += 1;
         }
         let round = state.round;
-        let device = state.info.device.clone();
-        let tenant = state.info.tenant;
+        let device = ("device", state.info.device.as_str());
+        let tenant = state.tenant.as_deref().map(|t| ("tenant", t));
         match &kind {
             TraceEventKind::BlockStep { program, block } => {
                 *inner.heat.entry((scope, *program, *block)).or_default() += 1;
             }
-            TraceEventKind::RoundBegin { .. } => {
-                self.metrics.inc_labeled("sedspec_rounds_total", ("device", &device), 1);
-                if let Some(t) = tenant {
-                    let t = t.to_string();
-                    self.metrics.inc_labeled(crate::window::TENANT_ROUNDS, ("tenant", &t), 1);
-                }
-            }
             TraceEventKind::RoundEnd { verdict, blocks, syncs, walk_ns } => {
-                let label = ("device", device.as_str());
-                match verdict {
-                    VerdictKind::Halted => {
-                        self.metrics.inc_labeled("sedspec_halts_total", label, 1);
-                    }
-                    VerdictKind::Warned => {
-                        self.metrics.inc_labeled("sedspec_warnings_total", label, 1);
-                    }
-                    VerdictKind::DeviceFault => {
-                        self.metrics.inc_labeled("sedspec_device_faults_total", label, 1);
-                    }
-                    VerdictKind::Allowed => {}
+                if *verdict == VerdictKind::DeviceFault {
+                    self.metrics.inc_labeled("sedspec_device_faults_total", device, 1);
                 }
-                self.metrics.observe_labeled("sedspec_walk_ns", label, *walk_ns);
-                self.metrics.observe_labeled("sedspec_blocks_per_round", label, *blocks);
-                self.metrics.observe_labeled("sedspec_syncs_per_round", label, *syncs);
+                self.metrics.observe_labeled("sedspec_walk_ns", device, *walk_ns);
+                self.metrics.observe_labeled("sedspec_blocks_per_round", device, *blocks);
+                self.metrics.observe_labeled("sedspec_syncs_per_round", device, *syncs);
                 if let Some(t) = tenant {
-                    let t = t.to_string();
-                    self.metrics.observe_labeled(
-                        crate::window::TENANT_WALK_NS,
-                        ("tenant", &t),
-                        *walk_ns,
-                    );
+                    self.metrics.observe_labeled(crate::window::TENANT_WALK_NS, t, *walk_ns);
                 }
             }
-            TraceEventKind::SyncFetch { .. } => {
-                self.metrics.inc_labeled("sedspec_sync_fetch_total", ("device", &device), 1);
+            TraceEventKind::JournalCommit { writes } | TraceEventKind::JournalAbort { writes } => {
+                self.metrics.observe_labeled("sedspec_journal_undo_depth", device, *writes);
             }
-            TraceEventKind::JournalCommit { writes } => {
-                self.metrics.observe_labeled(
-                    "sedspec_journal_undo_depth",
-                    ("device", &device),
-                    *writes,
-                );
-            }
-            TraceEventKind::JournalAbort { writes } => {
-                self.metrics.inc_labeled("sedspec_aborts_total", ("device", &device), 1);
-                self.metrics.observe_labeled(
-                    "sedspec_journal_undo_depth",
-                    ("device", &device),
-                    *writes,
-                );
-                if let Some(t) = tenant {
-                    let t = t.to_string();
-                    self.metrics.inc_labeled(crate::window::TENANT_ABORTS, ("tenant", &t), 1);
-                }
-            }
+            TraceEventKind::RoundBegin { .. }
+            | TraceEventKind::SyncFetch { .. }
+            | TraceEventKind::ShardStarted { .. } => {}
             TraceEventKind::SpecCompiled { .. } => {
                 self.metrics.inc("sedspec_spec_compiled_total", 1);
             }
             TraceEventKind::SpecPublished { .. } => {
                 self.metrics.inc("sedspec_spec_published_total", 1);
             }
-            TraceEventKind::ShardStarted { .. } => {}
             TraceEventKind::TenantAdded { .. } => {
                 self.metrics.inc("sedspec_tenants_total", 1);
             }
@@ -228,13 +185,7 @@ impl ObsHub {
                 self.metrics.inc("sedspec_spec_swaps_total", 1);
             }
             TraceEventKind::Alert { .. } => {
-                let tenant_label = tenant.map(|t| t.to_string());
-                match &tenant_label {
-                    Some(t) => self.metrics.inc_labeled("sedspec_alerts_total", ("tenant", t), 1),
-                    None => {
-                        self.metrics.inc_labeled("sedspec_alerts_total", ("device", &device), 1);
-                    }
-                }
+                self.metrics.inc_labeled("sedspec_alerts_total", tenant.unwrap_or(device), 1);
             }
             TraceEventKind::FaultInjected { kind: fault, .. } => {
                 self.metrics.inc_labeled("sedspec_faults_injected_total", ("kind", fault), 1);
@@ -268,6 +219,28 @@ impl ObsHub {
         }
         if inner.ring.push(TraceEvent { seq, round, scope, kind }) {
             self.metrics.inc("sedspec_trace_dropped_total", 1);
+        }
+    }
+
+    /// Folds one enforcer call's [`EnforceStats`] delta into the round
+    /// counters, their only writer. Nothing enters the trace ring.
+    pub fn counts(&self, scope: ScopeId, delta: &EnforceStats) {
+        let inner = self.inner.lock();
+        let state = &inner.scopes[scope.0 as usize];
+        let device = Some(("device", state.info.device.as_str()));
+        let tenant = state.tenant.as_deref().map(|t| ("tenant", t));
+        for (name, label, n) in [
+            ("sedspec_rounds_total", device, delta.rounds),
+            ("sedspec_halts_total", device, delta.halts),
+            ("sedspec_warnings_total", device, delta.warnings),
+            ("sedspec_aborts_total", device, delta.aborts),
+            ("sedspec_sync_fetch_total", device, delta.check_syncs),
+            (crate::window::TENANT_ROUNDS, tenant, delta.rounds),
+            (crate::window::TENANT_ABORTS, tenant, delta.aborts),
+        ] {
+            if let Some(label) = label.filter(|_| n > 0) {
+                self.metrics.inc_labeled(name, label, n);
+            }
         }
     }
 
@@ -443,7 +416,11 @@ mod tests {
         assert_eq!(events.len(), 4);
         assert_eq!(events.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![1, 2, 3, 4]);
         assert_eq!(events.iter().map(|e| e.round).collect::<Vec<_>>(), vec![1, 1, 1, 2]);
+        // Events stamp rounds but count none: the ledger delta does.
+        assert_eq!(hub.metrics().counter("sedspec_rounds_total", Some(("device", "FDC"))), 0);
+        sink.counts(&EnforceStats { rounds: 2, ..EnforceStats::default() });
         assert_eq!(hub.metrics().counter("sedspec_rounds_total", Some(("device", "FDC"))), 2);
+        assert_eq!(hub.recent_events(10).len(), 4, "a ledger delta is no trace event");
     }
 
     #[test]
@@ -518,6 +495,7 @@ mod tests {
             walk_ns: 500,
         });
         sink.event(TraceEventKind::JournalAbort { writes: 2 });
+        sink.counts(&EnforceStats { rounds: 1, aborts: 1, ..EnforceStats::default() });
         let m = hub.metrics();
         assert_eq!(m.counter(crate::window::TENANT_ROUNDS, Some(("tenant", "9"))), 1);
         assert_eq!(m.counter(crate::window::TENANT_ABORTS, Some(("tenant", "9"))), 1);

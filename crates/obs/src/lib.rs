@@ -31,6 +31,7 @@ pub mod flight;
 pub mod hub;
 pub mod metrics;
 pub mod sink;
+pub mod stats;
 pub mod trace;
 pub mod window;
 
@@ -42,6 +43,7 @@ pub use flight::{
 pub use hub::{ObsConfig, ObsHub};
 pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, SeriesSnapshot};
 pub use sink::{NoopSink, ObsSink, ScopedSink};
+pub use stats::EnforceStats;
 pub use trace::TraceRecorder;
 pub use window::{
     HealthState, HealthTransition, TenantHealth, TenantWindow, WindowConfig, WindowReport,

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use crate::event::{ScopeId, TraceEventKind};
 use crate::flight::ForensicData;
 use crate::hub::ObsHub;
+use crate::stats::EnforceStats;
 
 /// Receiver of structured instrumentation events.
 pub trait ObsSink: Send + Sync + std::fmt::Debug {
@@ -20,6 +21,10 @@ pub trait ObsSink: Send + Sync + std::fmt::Debug {
 
     /// Freezes the forensic payload of a flagged round.
     fn violation(&self, data: ForensicData);
+
+    /// Takes what an enforcer's [`EnforceStats`] gained during one public
+    /// call: the only source of the exported round counters.
+    fn counts(&self, _delta: &EnforceStats) {}
 
     /// Whether the instrumentation site should assemble the expensive
     /// forensic payloads (block paths, labels, shadow diffs) at all.
@@ -75,5 +80,9 @@ impl ObsSink for ScopedSink {
 
     fn violation(&self, data: ForensicData) {
         self.hub.record_violation(self.scope, data);
+    }
+
+    fn counts(&self, delta: &EnforceStats) {
+        self.hub.counts(self.scope, delta);
     }
 }

@@ -17,7 +17,6 @@ use sedspec_dbl::interp::{ExecOutcome, Fault};
 use sedspec_devices::Device;
 use sedspec_obs::{ForensicData, ObsSink, PathStep, ShadowDelta, TraceEventKind, VerdictKind};
 use sedspec_vmm::{IoRequest, VmContext};
-use serde::{Deserialize, Serialize};
 
 use crate::checker::{
     BatchOutcome, CheckConfig, EsChecker, NoSync, RecordedSync, RoundReport, Strategy,
@@ -27,6 +26,9 @@ use crate::compiled::CompiledSpec;
 use crate::observe::Observer;
 use crate::spec::ExecutionSpecification;
 
+/// The round ledger; defined beside the sink that exports it.
+pub use sedspec_obs::EnforceStats;
+
 /// Virtual nanoseconds charged per walked ES block. The spec walk is a
 /// table-driven graph traversal, roughly an order of magnitude lighter
 /// than emulating the block.
@@ -35,58 +37,6 @@ pub const CHECK_BLOCK_NS: u64 = 1;
 pub const CHECK_SYNC_NS: u64 = 10;
 /// Fixed virtual nanoseconds charged per checked round.
 pub const CHECK_ROUND_NS: u64 = 15;
-
-/// Counters accumulated by an enforcing device.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EnforceStats {
-    /// I/O rounds intercepted.
-    pub rounds: u64,
-    /// Rounds fully checked before device execution.
-    pub precheck_complete: u64,
-    /// Rounds requiring device-side sync data.
-    pub synced_rounds: u64,
-    /// Rounds that raised warnings (enhancement mode).
-    pub warnings: u64,
-    /// Rounds that halted the device.
-    pub halts: u64,
-    /// Rounds whose journaled shadow writes were rolled back (partial
-    /// walks suspended at a sync point plus flagged rounds).
-    pub aborts: u64,
-    /// Total ES blocks walked.
-    pub check_blocks: u64,
-    /// Total sync values consumed.
-    pub check_syncs: u64,
-}
-
-impl EnforceStats {
-    /// Folds another counter set into this one. Aggregation across
-    /// devices, tenants or shards is plain per-field addition.
-    pub fn merge(&mut self, other: &EnforceStats) {
-        self.rounds += other.rounds;
-        self.precheck_complete += other.precheck_complete;
-        self.synced_rounds += other.synced_rounds;
-        self.warnings += other.warnings;
-        self.halts += other.halts;
-        self.aborts += other.aborts;
-        self.check_blocks += other.check_blocks;
-        self.check_syncs += other.check_syncs;
-    }
-}
-
-impl std::ops::AddAssign for EnforceStats {
-    fn add_assign(&mut self, other: EnforceStats) {
-        self.merge(&other);
-    }
-}
-
-impl std::ops::Add for EnforceStats {
-    type Output = EnforceStats;
-
-    fn add(mut self, other: EnforceStats) -> EnforceStats {
-        self.merge(&other);
-        self
-    }
-}
 
 /// The outcome of one enforced I/O interaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -253,11 +203,6 @@ impl EnforcingDevice {
         self
     }
 
-    /// The walk engine currently in use.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     /// Switches to warn-only mode: the graceful-degradation response to
     /// a compiled-engine fault. Checking continues on the same engine —
     /// violations are still walked, counted, reported and recorded as
@@ -267,11 +212,6 @@ impl EnforcingDevice {
     pub fn degrade(&mut self) {
         self.degraded = true;
         self.halted = false;
-    }
-
-    /// Whether the device is running in warn-only degraded mode.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
     }
 
     /// Whether a halt verdict has stopped the device.
@@ -320,8 +260,19 @@ impl EnforcingDevice {
         );
     }
 
-    /// Services one I/O interaction under enforcement.
+    /// Services one I/O interaction under enforcement. An attached sink
+    /// gets the call's ledger delta once, on exit (`ObsSink::counts`).
     pub fn handle_io(&mut self, ctx: &mut VmContext, req: &IoRequest) -> IoVerdict {
+        let before = self.stats;
+        let verdict = self.io(ctx, req);
+        if let Some(sink) = &self.sink {
+            sink.counts(&self.stats.since(&before));
+        }
+        verdict
+    }
+
+    /// [`EnforcingDevice::handle_io`] without publishing: the batch re-drive.
+    fn io(&mut self, ctx: &mut VmContext, req: &IoRequest) -> IoVerdict {
         self.stats.rounds += 1;
         if self.halted {
             return IoVerdict::Halted { violations: Vec::new(), executed: false };
@@ -355,6 +306,10 @@ impl EnforcingDevice {
     /// (rounds need `RoundBegin`/`RoundEnd` brackets), the interpreted
     /// reference engine, a halted or single-request stream, or an
     /// unrouted (checker-bypassing) head request.
+    ///
+    /// With a sink attached each call is one round through
+    /// [`EnforcingDevice::handle_io`], which publishes the call's
+    /// [`EnforceStats`] delta; the sink-less batched path publishes none.
     pub fn handle_batch(
         &mut self,
         ctx: &mut VmContext,
@@ -392,7 +347,7 @@ impl EnforcingDevice {
         if out.committed == 0 && !stopped {
             // Unrouted head request: bypass round via the sequential path.
             self.checker.commit_batch();
-            let v = self.handle_io(ctx, reqs[0]);
+            let v = self.io(ctx, reqs[0]);
             verdicts.push(v);
             return 1;
         }
@@ -419,7 +374,7 @@ impl EnforcingDevice {
             // deterministic over the committed shadow, so it reproduces
             // the same outcome while taking the full slow machinery
             // (sync re-walk, forensics, halt/warn/abort accounting).
-            let v = self.handle_io(ctx, reqs[out.committed]);
+            let v = self.io(ctx, reqs[out.committed]);
             verdicts.push(v);
             return out.committed + 1;
         }

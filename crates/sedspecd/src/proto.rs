@@ -588,6 +588,23 @@ mod tests {
     }
 
     #[test]
+    fn deep_nests_are_malformed_not_an_abort() {
+        // Decoded before auth: one small unauthenticated frame must not
+        // overflow the connection thread's stack.
+        for open in ["[", "{\"a\":"] {
+            for bytes in [10 << 10, 1 << 20] {
+                let frame = open.repeat(bytes / open.len());
+                let err =
+                    parse_request(frame.as_bytes()).expect_err("a hostile nest must not parse");
+                assert!(
+                    matches!(&err, ProtoError::Malformed(m) if m.contains("nesting deeper than")),
+                    "{open} x {bytes}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn oversized_length_prefix_is_rejected_without_allocating() {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());

@@ -16,6 +16,7 @@ use sedspec_devices::{build_device, DeviceKind, QemuVersion};
 use sedspec_fleet::pool::TenantConfig;
 use sedspec_obs::ObsHub;
 use sedspec_vmm::{AddressSpace, IoRequest, VmContext};
+use sedspecd::proto::{read_response, write_frame};
 use sedspecd::{
     AuthConfig, ClientError, CtlClient, Daemon, DaemonConfig, ErrCode, RateLimitConfig, Request,
     RequestBody, ResponseBody, PROTOCOL_VERSION,
@@ -297,6 +298,25 @@ fn rate_limiter_refuses_the_overdraft_with_a_retry_hint() {
     ctl.tenant_status(1).unwrap();
     ctl.fleet_status().unwrap();
 
+    ctl.shutdown().unwrap();
+    join.join().unwrap();
+}
+
+/// A 1 MiB nest of `[` is decoded before auth; it must come back as a
+/// `BadRequest` frame, and the daemon must keep serving.
+#[test]
+fn a_deeply_nested_frame_is_a_bad_request_not_an_abort() {
+    let store = fresh_store("nest");
+    let (_daemon, join, socket) = start(DaemonConfig::new(&store), "nest");
+    let mut stream = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+    write_frame(&mut stream, "[".repeat(1 << 20).as_bytes()).unwrap();
+    let resp = read_response(&mut stream).unwrap();
+    assert!(
+        matches!(resp.body, ResponseBody::Error { code: ErrCode::BadRequest, .. }),
+        "got {resp:?}"
+    );
+    let mut ctl = CtlClient::connect_unix(&socket).unwrap();
+    ctl.ping().unwrap();
     ctl.shutdown().unwrap();
     join.join().unwrap();
 }

@@ -715,11 +715,15 @@ pub mod json {
         out.push('"');
     }
 
+    /// The deepest array/object nesting [`parse`] accepts (trained specs
+    /// nest 16 levels): a hostile nest is an error, not a stack overflow.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Parses JSON text into a [`Value`] tree.
     pub fn parse(s: &str) -> Result<Value, String> {
         let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(format!("trailing characters at offset {}", p.pos));
@@ -761,22 +765,26 @@ pub mod json {
             }
         }
 
-        fn value(&mut self) -> Result<Value, String> {
+        /// One value nested `depth` arrays/objects deep.
+        fn value(&mut self, depth: usize) -> Result<Value, String> {
             self.skip_ws();
             match self.peek() {
                 Some(b'n') if self.literal("null") => Ok(Value::Null),
                 Some(b't') if self.literal("true") => Ok(Value::Bool(true)),
                 Some(b'f') if self.literal("false") => Ok(Value::Bool(false)),
                 Some(b'"') => self.string().map(Value::Str),
-                Some(b'[') => self.seq(),
-                Some(b'{') => self.map(),
+                Some(b'[' | b'{') if depth == MAX_DEPTH => {
+                    Err(format!("nesting deeper than {MAX_DEPTH} at offset {}", self.pos))
+                }
+                Some(b'[') => self.seq(depth + 1),
+                Some(b'{') => self.map(depth + 1),
                 Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
                 Some(c) => Err(format!("unexpected `{}` at offset {}", c as char, self.pos)),
                 None => Err("unexpected end of input".to_string()),
             }
         }
 
-        fn seq(&mut self) -> Result<Value, String> {
+        fn seq(&mut self, depth: usize) -> Result<Value, String> {
             self.expect(b'[')?;
             let mut items = Vec::new();
             self.skip_ws();
@@ -785,7 +793,7 @@ pub mod json {
                 return Ok(Value::Seq(items));
             }
             loop {
-                items.push(self.value()?);
+                items.push(self.value(depth)?);
                 self.skip_ws();
                 match self.peek() {
                     Some(b',') => {
@@ -800,7 +808,7 @@ pub mod json {
             }
         }
 
-        fn map(&mut self) -> Result<Value, String> {
+        fn map(&mut self, depth: usize) -> Result<Value, String> {
             self.expect(b'{')?;
             let mut entries = Vec::new();
             self.skip_ws();
@@ -813,7 +821,7 @@ pub mod json {
                 let key = self.string()?;
                 self.skip_ws();
                 self.expect(b':')?;
-                entries.push((key, self.value()?));
+                entries.push((key, self.value(depth)?));
                 self.skip_ws();
                 match self.peek() {
                     Some(b',') => {

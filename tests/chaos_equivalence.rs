@@ -19,16 +19,10 @@ use sedspec_repro::fleet::{AlertEvent, FaultPoint, FleetReport};
 use sedspec_repro::vmm::VmContext;
 use sedspec_repro::workloads::attacks::{poc, Cve};
 use sedspec_repro::workloads::generators::training_suite;
+use sedspec_repro::workloads::splitmix64;
 
 const SUITE_SEED: u64 = 11;
 const CASES: usize = 4;
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Trained specs are the slow part; train each channel once per
 /// process and publish clones into fresh registries per scenario.
@@ -78,13 +72,15 @@ struct Scenario {
 
 impl Scenario {
     fn derive(seed: u64) -> Self {
-        let tenants = 2 + splitmix(seed) % 3; // 2..=4
+        let tenants = 2 + splitmix64(seed) % 3; // 2..=4
         Scenario {
             tenants,
-            shards: 1 + (splitmix(seed ^ 1) % 3) as usize, // 1..=3
-            batches: 2 + (splitmix(seed ^ 2) % 2) as usize, // 2..=3
-            hotswap: splitmix(seed ^ 3).is_multiple_of(2),
-            attacker: splitmix(seed ^ 4).is_multiple_of(2).then(|| splitmix(seed ^ 5) % tenants),
+            shards: 1 + (splitmix64(seed ^ 1) % 3) as usize, // 1..=3
+            batches: 2 + (splitmix64(seed ^ 2) % 2) as usize, // 2..=3
+            hotswap: splitmix64(seed ^ 3).is_multiple_of(2),
+            attacker: splitmix64(seed ^ 4)
+                .is_multiple_of(2)
+                .then(|| splitmix64(seed ^ 5) % tenants),
         }
     }
 
@@ -92,7 +88,7 @@ impl Scenario {
         if self.attacker == Some(tenant) {
             return vec![(DeviceKind::Fdc, QemuVersion::V2_3_0)];
         }
-        if splitmix(seed ^ tenant.rotate_left(17)).is_multiple_of(2) {
+        if splitmix64(seed ^ tenant.rotate_left(17)).is_multiple_of(2) {
             vec![(DeviceKind::Fdc, QemuVersion::Patched), (DeviceKind::Sdhci, QemuVersion::Patched)]
         } else {
             vec![(DeviceKind::Fdc, QemuVersion::Patched)]
@@ -100,7 +96,7 @@ impl Scenario {
     }
 
     fn mode_for(tenant: u64, seed: u64) -> WorkingMode {
-        if splitmix(seed ^ tenant.rotate_left(29)).is_multiple_of(2) {
+        if splitmix64(seed ^ tenant.rotate_left(29)).is_multiple_of(2) {
             WorkingMode::Protection
         } else {
             WorkingMode::Enhancement

@@ -5,7 +5,8 @@
 //! and the scope's recent trace events — while the paper's documented
 //! miss (CVE-2016-1568) must leave the flight recorder empty. A
 //! degraded (warn-only) enforcer records the same violations as
-//! `Warned`.
+//! `Warned`. The hub's exported round counters are the enforcer's own
+//! `EnforceStats` ledger.
 
 use std::sync::Arc;
 
@@ -17,7 +18,7 @@ use sedspec::spec::ExecutionSpecification;
 use sedspec_dbl::interp::ExecLimits;
 use sedspec_repro::devices::{build_device, DeviceKind, QemuVersion};
 use sedspec_repro::obs::{ObsHub, ScopeInfo, TraceEventKind, VerdictKind};
-use sedspec_repro::vmm::VmContext;
+use sedspec_repro::vmm::{AddressSpace, IoRequest, VmContext};
 use sedspec_repro::workloads::attacks::{poc, Cve};
 use sedspec_repro::workloads::generators::training_suite;
 
@@ -201,4 +202,62 @@ fn the_documented_miss_leaves_no_flight_record() {
     assert!(hub.forensics().is_empty(), "a PoC that evades detection must not fabricate forensics");
     // The rounds themselves were still traced.
     assert!(hub.metrics().sum_counter("sedspec_rounds_total") > 0);
+}
+
+/// The exported round counters are the enforcer's own ledger. Driving
+/// the whole Venom PoC — the halt, every request after it, and requests
+/// no device region claims — through `handle_io` and `handle_batch`
+/// leaves each ledger-fed series equal to its `EnforceStats` field,
+/// on a healthy enforcer (halts) and a degraded one (warnings).
+#[test]
+fn exported_round_counters_equal_the_ledger() {
+    let p = poc(Cve::Cve2015_3456);
+    let spec = trained(p.device, p.qemu_version);
+    // POST-code port: no FDC region claims it, so it bypasses the checker.
+    let unrouted = IoRequest::write(AddressSpace::Pmio, 0x80, 1, 0);
+    for degraded in [false, true] {
+        let mut device = build_device(p.device, p.qemu_version);
+        device.set_limits(ExecLimits { max_steps: 50_000, ..ExecLimits::default() });
+        let hub = Arc::new(ObsHub::new());
+        let mut enforcer = EnforcingDevice::new(device, spec.clone(), WorkingMode::Protection)
+            .with_sink(hub.sink(ScopeInfo::tenant_device(0, 7, p.device.to_string())));
+        if degraded {
+            enforcer.degrade();
+        }
+        let mut ctx = VmContext::new(0x200000, 8192);
+        let mut verdicts = Vec::new();
+        let mut sent = 0u64;
+        for (i, step) in p.steps.iter().enumerate() {
+            let Some(req) = apply_step(step, &mut ctx) else { continue };
+            let req = req.clone();
+            if i % 2 == 0 {
+                enforcer.handle_io(&mut ctx, &req);
+            } else {
+                assert_eq!(enforcer.handle_batch(&mut ctx, &[&req, &unrouted], &mut verdicts), 1);
+            }
+            sent += 1;
+            if i % 50 == 0 {
+                enforcer.handle_io(&mut ctx, &unrouted);
+                sent += 1;
+            }
+        }
+        let s = enforcer.stats;
+        assert_eq!(s.rounds, sent, "every request is a ledger round");
+        if degraded {
+            assert!(s.warnings > 0 && s.halts == 0 && !enforcer.is_halted());
+        } else {
+            assert!(s.halts == 1 && enforcer.is_halted(), "Venom halts once, then stays halted");
+        }
+        let m = hub.metrics();
+        let device = |name| m.counter(name, Some(("device", "FDC")));
+        let tenant = |name| m.counter(name, Some(("tenant", "7")));
+        let tag = if degraded { "degraded" } else { "healthy" };
+        assert_eq!(device("sedspec_rounds_total"), s.rounds, "{tag}");
+        assert_eq!(device("sedspec_halts_total"), s.halts, "{tag}");
+        assert_eq!(device("sedspec_warnings_total"), s.warnings, "{tag}");
+        assert_eq!(device("sedspec_aborts_total"), s.aborts, "{tag}");
+        assert_eq!(device("sedspec_sync_fetch_total"), s.check_syncs, "{tag}");
+        assert_eq!(tenant("sedspec_tenant_rounds_total"), s.rounds, "{tag}");
+        assert_eq!(tenant("sedspec_tenant_aborts_total"), s.aborts, "{tag}");
+    }
 }
