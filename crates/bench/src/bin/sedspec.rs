@@ -593,8 +593,8 @@ struct CheckerBenchRow {
     walk_interpreted_ns: f64,
     /// Amortized per-round cost of the batched walk (`walk_batch` over
     /// 256-round submissions, journal cleared once per batch) on the
-    /// profile-guided compile — the number the enforcement pool's
-    /// batched path actually pays.
+    /// identity compile the daemon serves — the number the enforcement
+    /// pool's batched path actually pays.
     walk_compiled_ns: f64,
     /// Per-round cost of one `walk_round_fast` call (un-amortized),
     /// for comparison against the batched number.
@@ -659,9 +659,7 @@ fn bench_poll_request(kind: DeviceKind) -> sedspec_vmm::IoRequest {
 
 fn cmd_bench_checker(args: &[String]) -> ExitCode {
     use sedspec::checker::{BatchOutcome, EsChecker, NoSync};
-    use sedspec::compiled::CompileOptions;
     use sedspec::enforce::Engine;
-    use sedspec_obs::{ObsHub, ScopeInfo};
 
     let cases = flag(args, "--cases").and_then(|v| v.parse().ok()).unwrap_or(40);
     let samples = 31;
@@ -683,22 +681,7 @@ fn cmd_bench_checker(args: &[String]) -> ExitCode {
         let walk_interpreted_ns =
             median_ns(samples, iters, || drop(interp.walk_round(pi, &req, &mut NoSync)));
 
-        // Profile-guided compile: warm the identity compile under an
-        // obs sink, export the accumulated block heat, recompile with
-        // hot successors laid out fall-through — the same feedback loop
-        // `SpecRegistry::optimize_from_obs` runs in production.
-        let hub = Arc::new(ObsHub::new());
-        let mut warm = EsChecker::new(spec.clone(), device.control.clone());
-        warm.set_sink(Some(hub.sink(ScopeInfo::device(kind.to_string()))));
-        for _ in 0..512 {
-            warm.walk_round_fast(pi, &req, &mut NoSync);
-            warm.abort_round();
-        }
-        let profile = hub.heat_profile(&kind.to_string());
-        let compiled = Arc::new(CompiledSpec::compile_with(
-            Arc::new(spec.clone()),
-            &CompileOptions { profile: Some(&profile) },
-        ));
+        let compiled = Arc::new(CompiledSpec::compile(Arc::new(spec.clone())));
 
         let mut fast = EsChecker::from_compiled(Arc::clone(&compiled), device.control.clone());
         let walk_compiled_single_ns = median_ns(samples, iters, || {
@@ -802,7 +785,7 @@ fn cmd_bench_checker(args: &[String]) -> ExitCode {
     let report = CheckerBenchReport {
         note: "median-of-31 timed batches per point; walk_compiled_ns is the \
                amortized per-round cost of 256-round walk_batch submissions \
-               on a profile-guided compile (walk_compiled_single_ns keeps \
+               on the identity compile (walk_compiled_single_ns keeps \
                the old one-call-per-round shape for comparison); the \
                compiled walk has a near-constant per-round floor, so its \
                advantage grows with spec size (smallest on FDC, largest on \

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use sedspec::compiled::{CompileOptions, CompiledSpec};
+use sedspec::compiled::CompiledSpec;
 use sedspec::spec::ExecutionSpecification;
 use sedspec_analysis::diff::{diff, SemanticChangelog};
 use sedspec_analysis::{analyze, AnalysisContext, AnalysisReport};
@@ -366,68 +366,6 @@ impl SpecRegistry {
     pub fn get_compiled(&self, key: &SpecKey) -> Option<Arc<CompiledSpec>> {
         let channels = self.channels.read();
         channels.get(&(key.device, key.version))?.compiled.get(&key.digest).cloned()
-    }
-
-    /// Recompiles the channel's current revision under a profile-guided
-    /// block layout (`(program, block, hits)` heat triples, typically
-    /// from [`ObsHub::heat_profile`]), re-runs the full analysis gate on
-    /// the relaid form, swaps it in as the channel's compiled artifact
-    /// and bumps the epoch so shards retarget at their next batch
-    /// boundary. The stored specification (and its digest) is
-    /// unchanged: the layout is a compile-time concern, and the
-    /// preservation pass proves the relaid compile still answers every
-    /// structural query identically.
-    ///
-    /// Returns `false` — leaving the channel untouched — when the
-    /// channel has no current revision or the relaid compile fails the
-    /// analysis gate.
-    pub fn optimize_current(
-        &self,
-        device: DeviceKind,
-        version: QemuVersion,
-        profile: &[(u32, u32, u64)],
-    ) -> bool {
-        let Some((key, spec, _)) = self.current(device, version) else { return false };
-        let compiled = Arc::new(CompiledSpec::compile_with(
-            Arc::clone(&spec),
-            &CompileOptions { profile: Some(profile) },
-        ));
-        let target = build_device(device, version);
-        let report = analyze(&spec, &AnalysisContext::full(&target, &compiled));
-        if report.has_errors() {
-            return false;
-        }
-        {
-            let mut channels = self.channels.write();
-            let Some(channel) = channels.get_mut(&(device, version)) else { return false };
-            if channel.current != Some(key.digest) {
-                return false; // republished underneath us; keep theirs
-            }
-            channel.compiled.insert(key.digest, compiled);
-            channel.epoch += 1;
-        }
-        self.obs_record(TraceEventKind::SpecCompiled {
-            device: device.to_string(),
-            programs: spec.cfgs.len() as u32,
-            blocks: spec.cfgs.iter().map(|c| c.blocks.len() as u32).sum(),
-        });
-        true
-    }
-
-    /// [`SpecRegistry::optimize_current`] fed from the attached obs
-    /// hub's accumulated block heat for this device. No-ops (returns
-    /// `false`) without an attached hub or recorded heat — PGO is
-    /// strictly opt-in feedback, never a publish-path requirement.
-    pub fn optimize_from_obs(&self, device: DeviceKind, version: QemuVersion) -> bool {
-        let profile = {
-            let obs = self.obs.read();
-            let Some((hub, _)) = obs.as_ref() else { return false };
-            hub.heat_profile(&device.to_string())
-        };
-        if profile.is_empty() {
-            return false;
-        }
-        self.optimize_current(device, version, &profile)
     }
 
     /// The channel's publish epoch (0 when nothing was ever published).

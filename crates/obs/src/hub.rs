@@ -298,9 +298,9 @@ impl ObsHub {
     }
 
     /// One device's block heat, aggregated across scopes as
-    /// `(program, block, hits)` triples sorted by key — the profile
-    /// format `CompileOptions` consumes for profile-guided block
-    /// layout. Empty when the device has emitted no block steps.
+    /// `(program, block, hits)` triples sorted by key — what
+    /// [`ObsHub::coverage_map`] re-keys. Empty when the device has
+    /// emitted no block steps.
     pub fn heat_profile(&self, device: &str) -> Vec<(u32, u32, u64)> {
         let inner = self.inner.lock();
         let mut agg: HashMap<(u32, u32), u64> = HashMap::new();

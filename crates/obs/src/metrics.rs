@@ -12,6 +12,8 @@
 //! appear or vanish between scrapes) closed by `+Inf`, `_sum` and
 //! `_count` series.
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use parking_lot::Mutex;
@@ -152,26 +154,105 @@ fn escape_label(v: &str) -> String {
 }
 
 /// Metric identity: static name plus an ordered list of label pairs
-/// (empty for unlabeled series; one or two pairs in practice).
+/// (empty for unlabeled series; one or two pairs in practice). The
+/// derived order is the one [`SeriesId`] spells out, as `Borrow`
+/// requires.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     name: &'static str,
     labels: Vec<(&'static str, String)>,
 }
 
+/// A series identity as the maps order it, implemented by the owned
+/// [`Key`] and by the borrowed [`KeyRef`], so updating an existing
+/// series looks it up without building an owned key.
+trait SeriesId {
+    fn name(&self) -> &'static str;
+    fn label(&self, i: usize) -> Option<(&'static str, &str)>;
+}
+
+impl SeriesId for Key {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn label(&self, i: usize) -> Option<(&'static str, &str)> {
+        self.labels.get(i).map(|(k, v)| (*k, v.as_str()))
+    }
+}
+
+/// A series identity over borrowed label values: name and label pairs.
+type KeyRef<'a> = (&'static str, &'a [(&'static str, &'a str)]);
+
+impl SeriesId for KeyRef<'_> {
+    fn name(&self) -> &'static str {
+        self.0
+    }
+
+    fn label(&self, i: usize) -> Option<(&'static str, &str)> {
+        self.1.get(i).copied()
+    }
+}
+
+/// Name first, then the label pairs in order; a prefix sorts first.
+impl Ord for dyn SeriesId + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.name().cmp(other.name()).then_with(|| {
+            (0..)
+                .map(|i| (self.label(i), other.label(i)))
+                .find(|(a, b)| a != b || a.is_none())
+                .map_or(Ordering::Equal, |(a, b)| a.cmp(&b))
+        })
+    }
+}
+
+impl PartialOrd for dyn SeriesId + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for dyn SeriesId + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for dyn SeriesId + '_ {}
+
+impl<'a> Borrow<dyn SeriesId + 'a> for Key {
+    fn borrow(&self) -> &(dyn SeriesId + 'a) {
+        self
+    }
+}
+
+/// Applies `f` to series `name{labels}`, building its owned key (the
+/// only allocation) when the series is new.
+fn with_series<V: Default>(
+    map: &mut BTreeMap<Key, V>,
+    name: &'static str,
+    labels: &[(&'static str, &str)],
+    f: impl FnOnce(&mut V),
+) {
+    match map.get_mut(&(name, labels) as &dyn SeriesId) {
+        Some(v) => f(v),
+        None => {
+            let labels = labels.iter().map(|&(k, v)| (k, v.to_string())).collect();
+            f(map.entry(Key { name, labels }).or_default());
+        }
+    }
+}
+
+/// Series `name{labels}`, if it exists.
+fn series<'m, V>(
+    map: &'m BTreeMap<Key, V>,
+    name: &'static str,
+    labels: &[(&'static str, &str)],
+) -> Option<&'m V> {
+    map.get(&(name, labels) as &dyn SeriesId)
+}
+
 impl Key {
-    fn unlabeled(name: &'static str) -> Self {
-        Key { name, labels: Vec::new() }
-    }
-
-    fn labeled(name: &'static str, label: (&'static str, &str)) -> Self {
-        Key { name, labels: vec![(label.0, label.1.to_string())] }
-    }
-
-    fn labeled2(name: &'static str, l1: (&'static str, &str), l2: (&'static str, &str)) -> Self {
-        Key { name, labels: vec![(l1.0, l1.1.to_string()), (l2.0, l2.1.to_string())] }
-    }
-
     /// The `{k="v",...}` suffix (empty string for unlabeled series),
     /// with `le` appended last when given — Prometheus convention.
     fn label_suffix(&self, le: Option<&str>) -> String {
@@ -271,32 +352,32 @@ impl MetricsRegistry {
 
     /// Adds `delta` to an unlabeled counter.
     pub fn inc(&self, name: &'static str, delta: u64) {
-        *self.inner.lock().counters.entry(Key::unlabeled(name)).or_default() += delta;
+        with_series(&mut self.inner.lock().counters, name, &[], |c| *c += delta);
     }
 
     /// Adds `delta` to a labeled counter.
     pub fn inc_labeled(&self, name: &'static str, label: (&'static str, &str), delta: u64) {
-        *self.inner.lock().counters.entry(Key::labeled(name, label)).or_default() += delta;
+        with_series(&mut self.inner.lock().counters, name, &[label], |c| *c += delta);
     }
 
     /// Sets an unlabeled gauge.
     pub fn set_gauge(&self, name: &'static str, value: i64) {
-        self.inner.lock().gauges.insert(Key::unlabeled(name), value);
+        with_series(&mut self.inner.lock().gauges, name, &[], |g| *g = value);
     }
 
     /// Adds `delta` (possibly negative) to an unlabeled gauge.
     pub fn add_gauge(&self, name: &'static str, delta: i64) {
-        *self.inner.lock().gauges.entry(Key::unlabeled(name)).or_default() += delta;
+        with_series(&mut self.inner.lock().gauges, name, &[], |g| *g += delta);
     }
 
     /// Records a sample into an unlabeled histogram.
     pub fn observe(&self, name: &'static str, value: u64) {
-        self.inner.lock().histograms.entry(Key::unlabeled(name)).or_default().record(value);
+        with_series(&mut self.inner.lock().histograms, name, &[], |h| h.record(value));
     }
 
     /// Records a sample into a labeled histogram.
     pub fn observe_labeled(&self, name: &'static str, label: (&'static str, &str), value: u64) {
-        self.inner.lock().histograms.entry(Key::labeled(name, label)).or_default().record(value);
+        with_series(&mut self.inner.lock().histograms, name, &[label], |h| h.record(value));
     }
 
     /// Records a sample into a two-label histogram (e.g.
@@ -309,7 +390,7 @@ impl MetricsRegistry {
         l2: (&'static str, &str),
         value: u64,
     ) {
-        self.inner.lock().histograms.entry(Key::labeled2(name, l1, l2)).or_default().record(value);
+        with_series(&mut self.inner.lock().histograms, name, &[l1, l2], |h| h.record(value));
     }
 
     /// A labeled histogram's current state, if it exists.
@@ -318,11 +399,7 @@ impl MetricsRegistry {
         name: &'static str,
         label: Option<(&'static str, &str)>,
     ) -> Option<Histogram> {
-        let key = match label {
-            None => Key::unlabeled(name),
-            Some(l) => Key::labeled(name, l),
-        };
-        self.inner.lock().histograms.get(&key).cloned()
+        series(&self.inner.lock().histograms, name, label.as_slice()).cloned()
     }
 
     /// A two-label histogram's current state, if it exists.
@@ -332,16 +409,12 @@ impl MetricsRegistry {
         l1: (&'static str, &str),
         l2: (&'static str, &str),
     ) -> Option<Histogram> {
-        self.inner.lock().histograms.get(&Key::labeled2(name, l1, l2)).cloned()
+        series(&self.inner.lock().histograms, name, &[l1, l2]).cloned()
     }
 
     /// A counter's current value (0 when never incremented).
     pub fn counter(&self, name: &'static str, label: Option<(&'static str, &str)>) -> u64 {
-        let key = match label {
-            None => Key::unlabeled(name),
-            Some(l) => Key::labeled(name, l),
-        };
-        self.inner.lock().counters.get(&key).copied().unwrap_or(0)
+        series(&self.inner.lock().counters, name, label.as_slice()).copied().unwrap_or(0)
     }
 
     /// The sum of a counter across all of its label values.

@@ -9,7 +9,7 @@
 //! lowers the specification once:
 //!
 //! * **direct-threaded dispatch**: every block carries a pre-resolved
-//!   handler index ([`HKind`]) in a packed 24-byte [`HBlock`] record, so
+//!   handler index ([`HKind`]) in a packed 20-byte [`HBlock`] record, so
 //!   the walk is a tight loop over a dense array that never inspects the
 //!   interpreted [`EsBlock`](crate::escfg::EsBlock)'s `Nbtd` enum (or
 //!   touches its cache-hostile labels and boxed expressions) unless a
@@ -19,13 +19,11 @@
 //!   ([`SwitchTab`]) when the trained value range is compact, replacing
 //!   the per-round binary searches; sparse value sets keep the sorted
 //!   slices as fallback;
-//! * **profile-guided layout**: [`CompiledSpec::compile_with`] consumes
-//!   the ES-block heat map the obs hub accumulates and reorders each
-//!   CFG's dense arrays so hot successors are laid out fall-through.
-//!   Every introspection method (and every observable artifact: trace
-//!   events, violations, forensics) keeps answering in the original
-//!   ES-index space, so the compile-preservation pass (SA401) and the
-//!   heat feedback loop survive relayouts;
+//! * **one block index space**: every dense per-block array is indexed
+//!   by the ES block id itself, so violations, trace events, forensic
+//!   paths, command keys and the introspection methods the
+//!   compile-preservation pass (SA401) diffs all speak the
+//!   specification's own numbering with no translation;
 //! * a **batched round engine** ([`CompiledSpec::walk_batch`]): clean
 //!   completed rounds are committed by journal watermark and the journal
 //!   is cleared once per batch, amortizing round setup and commit across
@@ -104,10 +102,9 @@ fn word_scope(w: u32, custom: &Option<CmdCtx>) -> CmdScope {
     }
 }
 
-/// Compiled per-block transition table and operation metadata, kept in
-/// **layout order** with layout-space targets. This is the
-/// introspection-facing record; the walk itself runs over the packed
-/// [`HBlock`] array.
+/// Compiled per-block transition table and operation metadata, indexed
+/// by ES block. This is the introspection-facing record; the walk itself
+/// runs over the packed [`HBlock`] array.
 #[derive(Debug, Clone, Copy)]
 struct CBlock {
     /// Unconditional successor ([`NO_BLOCK`] if untrained).
@@ -152,7 +149,7 @@ enum HKind {
     Indirect,
 }
 
-/// Packed hot-path block record (24 bytes): everything the
+/// Packed hot-path block record (20 bytes): everything the
 /// direct-threaded walk needs, so a fall-through chain of blocks spans
 /// a couple of cache lines instead of striding through the interpreted
 /// `EsBlock`s. `a` / `b` / `aux` are kind-dependent:
@@ -170,15 +167,14 @@ struct HBlock {
     aux: u32,
     /// Start of this block's flags in `op_flags`.
     ops_at: u32,
-    /// Original (spec-order) ES index — what violations, trace events,
-    /// forensic paths and command keys are expressed in.
-    orig: u32,
     kind: HKind,
     /// The block has DSOD operations (skip the `EsBlock` deref if not).
     has_dsod: bool,
     /// The block closes the active command scope.
     is_cmd_end: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<HBlock>() == 20);
 
 /// Per-switch-block dispatch table: the dense-index (or
 /// sorted-slice-fallback) case lookup, plus — for command decisions —
@@ -433,12 +429,11 @@ enum FDsod {
     Unsupported,
 }
 
-/// One handler's compiled ES-CFG. Under a profile-guided layout all
-/// dense arrays are in layout order and store layout-space indices;
-/// `layout` / `pos` translate to and from the original ES-index space.
+/// One handler's compiled ES-CFG. Every per-block array is indexed by
+/// ES block and every stored target is an ES block id.
 #[derive(Debug)]
 struct CompiledCfg {
-    /// Entry ES block in layout space, [`NO_BLOCK`] when never traced.
+    /// Entry ES block, [`NO_BLOCK`] when never traced.
     entry: u32,
     blocks: Vec<CBlock>,
     /// Packed hot-path records, parallel to `blocks`.
@@ -467,10 +462,6 @@ struct CompiledCfg {
     fn_lut: Vec<u32>,
     fn_lut_min: u64,
     fn_lut_span: u32,
-    /// Layout index → original ES index.
-    layout: Vec<u32>,
-    /// Original ES index → layout index.
-    pos: Vec<u32>,
     /// Flat postfix expression arena ([`eval_flat`]).
     fops: Vec<FOp>,
     /// `(start, len)` program handles into `fops`.
@@ -482,14 +473,6 @@ struct CompiledCfg {
 }
 
 impl CompiledCfg {
-    /// Maps a layout-space block id back to the original ES index.
-    /// Out-of-range ids (the NO_BLOCK sentinel, dangling targets in
-    /// malformed specs) are fixed points of the permutation.
-    #[inline]
-    fn to_orig(&self, es: u32) -> u32 {
-        self.layout.get(es as usize).copied().unwrap_or(es)
-    }
-
     /// The lowered postfix run of expression program `fp`.
     #[inline]
     fn fprog(&self, fp: u32) -> &[FOp] {
@@ -666,16 +649,6 @@ impl WalkState {
     }
 }
 
-/// Compile-time options for [`CompiledSpec::compile_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CompileOptions<'a> {
-    /// `(program, es block, hits)` heat triples — typically
-    /// `ObsHub::block_heat` narrowed to one device — driving the
-    /// profile-guided block layout. Blocks absent from the profile rank
-    /// cold; `None` keeps the identity layout.
-    pub profile: Option<&'a [(u32, u32, u64)]>,
-}
-
 /// An execution specification lowered for the enforcement hot path.
 ///
 /// Cheap to share: the fleet compiles each published revision once and
@@ -686,10 +659,10 @@ pub struct CompiledSpec {
     cfgs: Vec<CompiledCfg>,
     /// Dense-global-block-index offset per program.
     block_offsets: Vec<u32>,
-    /// Sorted `(decision gid, cmd)` command keys (original ES space).
+    /// Sorted `(decision gid, cmd)` command keys.
     cmd_keys: Vec<(u64, u64)>,
-    /// Accessibility bitmap over dense **layout-space** block ids,
-    /// parallel to `cmd_keys`.
+    /// Accessibility bitmap over dense global block ids, parallel to
+    /// `cmd_keys`.
     cmd_masks: Vec<Vec<u64>>,
     /// Index into `spec.cmd_table.entries`, parallel to `cmd_keys`.
     cmd_entry_idx: Vec<u32>,
@@ -740,69 +713,8 @@ fn dense_span(vals: &[u64]) -> Option<(u64, u32)> {
     }
 }
 
-/// Greedy hot-path chaining: place the entry, then repeatedly extend
-/// the chain with the hottest unplaced successor (runtime heat first,
-/// training edge hits as tiebreak) so hot successors become
-/// fall-through neighbours; when a chain dies, restart from the hottest
-/// unplaced block. Returns the layout (layout index → original index).
-fn pgo_layout(cfg: &EsCfg, program: u32, profile: &[(u32, u32, u64)]) -> Vec<u32> {
+fn compile_cfg(cfg: &EsCfg, params: &DeviceStateParams) -> CompiledCfg {
     let n = cfg.blocks.len();
-    let mut heat = vec![0u64; n];
-    for &(p, b, h) in profile {
-        if p == program && (b as usize) < n {
-            heat[b as usize] += h;
-        }
-    }
-    let mut layout = Vec::with_capacity(n);
-    let mut placed = vec![false; n];
-    // Cold-restart order: hottest first, original order as tiebreak.
-    let mut by_heat: Vec<u32> = (0..n as u32).collect();
-    by_heat.sort_by_key(|&b| (std::cmp::Reverse(heat[b as usize]), b));
-    let mut restart = 0usize;
-    let mut cur = cfg.entry.unwrap_or_else(|| by_heat.first().copied().unwrap_or(0));
-    while layout.len() < n {
-        if placed[cur as usize] {
-            // Chain ended: restart from the hottest unplaced block.
-            while restart < n && placed[by_heat[restart] as usize] {
-                restart += 1;
-            }
-            cur = by_heat[restart];
-        }
-        placed[cur as usize] = true;
-        layout.push(cur);
-        // Hottest unplaced successor continues the chain.
-        let mut best: Option<(u64, u64, u32)> = None;
-        if let Some(edges) = cfg.edges.get(&cur) {
-            for e in edges {
-                let to = e.to;
-                if placed[to as usize] {
-                    continue;
-                }
-                let score = (heat[to as usize], e.hits, to);
-                if best.is_none_or(|b| (score.0, score.1) > (b.0, b.1)) {
-                    best = Some(score);
-                }
-            }
-        }
-        if let Some((_, _, to)) = best {
-            cur = to;
-        }
-        // else: cur stays placed; the next iteration cold-restarts.
-    }
-    layout
-}
-
-fn compile_cfg(cfg: &EsCfg, params: &DeviceStateParams, layout: Vec<u32>) -> CompiledCfg {
-    let n = cfg.blocks.len();
-    let mut pos = vec![0u32; n];
-    for (new, &orig) in layout.iter().enumerate() {
-        pos[orig as usize] = new as u32;
-    }
-    // Out-of-range ids (the NO_BLOCK sentinel, and dangling targets in
-    // malformed specs headed for the analysis gate) pass through the
-    // permutation unchanged, exactly as the identity compile stores them.
-    let tr = |to: u32| pos.get(to as usize).copied().unwrap_or(to);
-
     let mut blocks = Vec::with_capacity(n);
     let mut hot = Vec::with_capacity(n);
     let mut switch_tabs = Vec::new();
@@ -813,10 +725,9 @@ fn compile_cfg(cfg: &EsCfg, params: &DeviceStateParams, layout: Vec<u32>) -> Com
     let mut fops: Vec<FOp> = Vec::new();
     let mut fprogs: Vec<(u32, u32)> = Vec::new();
     let mut fdsod: Vec<FDsod> = Vec::new();
-    for &orig in &layout {
-        let es = orig;
-        let blk = &cfg.blocks[es as usize];
-        let pick = |key: EdgeKey| cfg.edge(es, key).map_or(NO_BLOCK, |e| tr(e.to));
+    for (es, blk) in cfg.blocks.iter().enumerate() {
+        let es = es as u32;
+        let pick = |key: EdgeKey| cfg.edge(es, key).map_or(NO_BLOCK, |e| e.to);
         let mut lower = |e: &Expr| -> u32 {
             let start = fops.len() as u32;
             emit_expr(e, &mut fops);
@@ -828,7 +739,7 @@ fn compile_cfg(cfg: &EsCfg, params: &DeviceStateParams, layout: Vec<u32>) -> Com
             let mut cases: Vec<(u64, u32)> = list
                 .iter()
                 .filter_map(|e| match e.key {
-                    EdgeKey::Case(v) => Some((v, tr(e.to))),
+                    EdgeKey::Case(v) => Some((v, e.to)),
                     _ => None,
                 })
                 .collect();
@@ -928,7 +839,6 @@ fn compile_cfg(cfg: &EsCfg, params: &DeviceStateParams, layout: Vec<u32>) -> Com
             b,
             aux,
             ops_at,
-            orig,
             kind,
             has_dsod: !blk.dsod.is_empty(),
             is_cmd_end: blk.kind == sedspec_dbl::ir::BlockKind::CmdEnd,
@@ -938,12 +848,12 @@ fn compile_cfg(cfg: &EsCfg, params: &DeviceStateParams, layout: Vec<u32>) -> Com
     let mut resolve = vec![NO_BLOCK; max_origin];
     for &origin in cfg.forward.keys() {
         if let Some(es) = cfg.resolve(origin) {
-            resolve[origin as usize] = tr(es);
+            resolve[origin as usize] = es;
         }
     }
     let fn_vals: Vec<u64> = cfg.legit_fn_values.iter().copied().collect();
     let fn_tos: Vec<u32> =
-        fn_vals.iter().map(|v| cfg.fn_targets.get(v).copied().map_or(NO_BLOCK, tr)).collect();
+        fn_vals.iter().map(|v| cfg.fn_targets.get(v).copied().unwrap_or(NO_BLOCK)).collect();
     let (fn_lut_min, fn_lut_span, fn_lut) = match dense_span(&fn_vals) {
         Some((min, span)) => {
             let mut lut = vec![NO_KEY; span as usize];
@@ -955,7 +865,7 @@ fn compile_cfg(cfg: &EsCfg, params: &DeviceStateParams, layout: Vec<u32>) -> Com
         None => (0, 0, Vec::new()),
     };
     CompiledCfg {
-        entry: cfg.entry.map_or(NO_BLOCK, tr),
+        entry: cfg.entry.unwrap_or(NO_BLOCK),
         blocks,
         hot,
         switch_tabs,
@@ -970,8 +880,6 @@ fn compile_cfg(cfg: &EsCfg, params: &DeviceStateParams, layout: Vec<u32>) -> Com
         fn_lut,
         fn_lut_min,
         fn_lut_span,
-        layout,
-        pos,
         fops,
         fprogs,
         fdsod,
@@ -980,37 +888,17 @@ fn compile_cfg(cfg: &EsCfg, params: &DeviceStateParams, layout: Vec<u32>) -> Com
 }
 
 impl CompiledSpec {
-    /// Lowers a specification with the identity block layout. The
-    /// original is retained (shared) for DSOD statements, NBTD
-    /// expressions, labels and serialization.
+    /// Lowers a specification. The original is retained (shared) for
+    /// DSOD statements, NBTD expressions, labels and serialization.
     pub fn compile(spec: Arc<ExecutionSpecification>) -> Self {
-        Self::compile_with(spec, &CompileOptions::default())
-    }
-
-    /// Lowers a specification, optionally reordering each CFG's dense
-    /// arrays along the supplied block heat profile (hot successors
-    /// fall-through). The layout is an internal concern: verdicts,
-    /// statistics and every introspection answer are identical to the
-    /// identity compile.
-    pub fn compile_with(spec: Arc<ExecutionSpecification>, opts: &CompileOptions<'_>) -> Self {
         let mut block_offsets = Vec::with_capacity(spec.cfgs.len());
         let mut total: u32 = 0;
         for cfg in &spec.cfgs {
             block_offsets.push(total);
             total += cfg.blocks.len() as u32;
         }
-        let mut cfgs: Vec<CompiledCfg> = spec
-            .cfgs
-            .iter()
-            .enumerate()
-            .map(|(p, c)| {
-                let layout = match opts.profile {
-                    Some(profile) => pgo_layout(c, p as u32, profile),
-                    None => (0..c.blocks.len() as u32).collect(),
-                };
-                compile_cfg(c, &spec.params, layout)
-            })
-            .collect();
+        let mut cfgs: Vec<CompiledCfg> =
+            spec.cfgs.iter().map(|c| compile_cfg(c, &spec.params)).collect();
 
         let mut cmd_entry_idx: Vec<u32> = (0..spec.cmd_table.entries.len() as u32).collect();
         cmd_entry_idx.sort_by_key(|&i| {
@@ -1033,7 +921,7 @@ impl CompiledSpec {
                     let (p, es) = ungid(g);
                     if let Some(&off) = block_offsets.get(p) {
                         if es < spec.cfgs[p].blocks.len() as u32 {
-                            let d = (off + cfgs[p].pos[es as usize]) as usize;
+                            let d = (off + es) as usize;
                             mask[d / 64] |= 1u64 << (d % 64);
                         }
                     }
@@ -1046,17 +934,14 @@ impl CompiledSpec {
         // order is known: each decision's contiguous key range plus a
         // dense cmd → key-index table when the command set is compact.
         for (p, ccfg) in cfgs.iter_mut().enumerate() {
-            let decisions: Vec<(u32, u32)> = ccfg
-                .hot
-                .iter()
-                .filter(|hb| matches!(hb.kind, HKind::SwitchCmdEval | HKind::SwitchCmdSync))
-                .map(|hb| (hb.aux, hb.orig))
-                .collect();
-            for (tab_idx, orig) in decisions {
-                let g = gid(p, orig);
+            for (es, hb) in ccfg.hot.iter().enumerate() {
+                if !matches!(hb.kind, HKind::SwitchCmdEval | HKind::SwitchCmdSync) {
+                    continue;
+                }
+                let g = gid(p, es as u32);
                 let lo = cmd_keys.partition_point(|k| k.0 < g);
                 let hi = cmd_keys.partition_point(|k| k.0 <= g);
-                let tab = &mut ccfg.switch_tabs[tab_idx as usize];
+                let tab = &mut ccfg.switch_tabs[hb.aux as usize];
                 tab.cmd_keys = (lo as u32, hi as u32);
                 let cmds: Vec<u64> = cmd_keys[lo..hi].iter().map(|k| k.1).collect();
                 if let Some((min, span)) = dense_span(&cmds) {
@@ -1084,17 +969,9 @@ impl CompiledSpec {
         &self.spec
     }
 
-    /// Whether this compile used a non-identity (profile-guided) block
-    /// layout.
-    pub fn is_relaid(&self) -> bool {
-        self.cfgs.iter().any(|c| c.layout.iter().enumerate().any(|(i, &o)| i as u32 != o))
-    }
-
     // ---- structural introspection (the static compile-preservation
     // ---- diff in `sedspec-analysis` compares these against the
-    // ---- interpreted `EsCfg` it was lowered from; every method
-    // ---- answers in the original ES-index space regardless of the
-    // ---- internal layout) ----
+    // ---- interpreted `EsCfg` it was lowered from) ----
 
     /// Number of compiled handler CFGs.
     pub fn program_count(&self) -> usize {
@@ -1104,7 +981,7 @@ impl CompiledSpec {
     /// Compiled entry block of `program`, `None` when untraced.
     pub fn entry_of(&self, program: usize) -> Option<u32> {
         let ccfg = &self.cfgs[program];
-        (ccfg.entry != NO_BLOCK).then(|| ccfg.to_orig(ccfg.entry))
+        (ccfg.entry != NO_BLOCK).then_some(ccfg.entry)
     }
 
     /// Compiled transition target out of `program`/`es` for `key`,
@@ -1113,8 +990,7 @@ impl CompiledSpec {
     /// values).
     pub fn edge_target(&self, program: usize, es: u32, key: EdgeKey) -> Option<u32> {
         let ccfg = &self.cfgs[program];
-        let ep = *ccfg.pos.get(es as usize)?;
-        let blk = &ccfg.blocks[ep as usize];
+        let blk = ccfg.blocks.get(es as usize)?;
         let to = match key {
             EdgeKey::Next => blk.next,
             EdgeKey::Taken => blk.taken,
@@ -1131,13 +1007,13 @@ impl CompiledSpec {
                 Err(_) => NO_BLOCK,
             },
         };
-        (to != NO_BLOCK).then(|| ccfg.to_orig(to))
+        (to != NO_BLOCK).then_some(to)
     }
 
     /// Number of compiled switch cases out of `program`/`es`.
     pub fn case_count(&self, program: usize, es: u32) -> usize {
         let ccfg = &self.cfgs[program];
-        let blk = &ccfg.blocks[ccfg.pos[es as usize] as usize];
+        let blk = &ccfg.blocks[es as usize];
         (blk.cases.1 - blk.cases.0) as usize
     }
 
@@ -1145,7 +1021,7 @@ impl CompiledSpec {
     pub fn resolve_of(&self, program: usize, origin: u32) -> Option<u32> {
         let ccfg = &self.cfgs[program];
         let es = ccfg.resolve.get(origin as usize).copied()?;
-        (es != NO_BLOCK).then(|| ccfg.to_orig(es))
+        (es != NO_BLOCK).then_some(es)
     }
 
     /// Compiled function-pointer table of `program`: every statically
@@ -1156,7 +1032,7 @@ impl CompiledSpec {
         ccfg.fn_vals
             .iter()
             .zip(&ccfg.fn_tos)
-            .map(|(&v, &t)| (v, (t != NO_BLOCK).then(|| ccfg.to_orig(t))))
+            .map(|(&v, &t)| (v, (t != NO_BLOCK).then_some(t)))
             .collect()
     }
 
@@ -1168,7 +1044,7 @@ impl CompiledSpec {
     /// Whether compiled command key `key_idx` admits block
     /// `program`/`es` through its accessibility bitmap.
     pub fn cmd_mask_allows(&self, key_idx: usize, program: usize, es: u32) -> bool {
-        let d = (self.block_offsets[program] + self.cfgs[program].pos[es as usize]) as usize;
+        let d = (self.block_offsets[program] + es) as usize;
         self.cmd_masks[key_idx][d / 64] & (1u64 << (d % 64)) != 0
     }
 
@@ -1181,7 +1057,7 @@ impl CompiledSpec {
     /// DSOD op.
     pub fn op_flags_of(&self, program: usize, es: u32) -> &[bool] {
         let ccfg = &self.cfgs[program];
-        let blk = &ccfg.blocks[ccfg.pos[es as usize] as usize];
+        let blk = &ccfg.blocks[es as usize];
         let n = self.spec.cfgs[program].blocks[es as usize].dsod.len();
         &ccfg.op_flags[blk.ops_at as usize..blk.ops_at as usize + n]
     }
@@ -1220,22 +1096,13 @@ impl CompiledSpec {
     }
 
     /// Whether block `program`/`es` is accessible under the hot-path
-    /// scope word `w`. `es_perm` indexes the layout-space bitmaps;
-    /// `es_orig` keys the original-space `allowed` set of a custom
-    /// scope.
+    /// scope word `w`.
     #[inline]
-    fn scope_allows_w(
-        &self,
-        w: u32,
-        custom: &Option<CmdCtx>,
-        program: usize,
-        es_perm: u32,
-        es_orig: u32,
-    ) -> bool {
+    fn scope_allows_w(&self, w: u32, custom: &Option<CmdCtx>, program: usize, es: u32) -> bool {
         if w == CUSTOM_SCOPE {
-            custom.as_ref().is_none_or(|c| c.allowed.contains(&gid(program, es_orig)))
+            custom.as_ref().is_none_or(|c| c.allowed.contains(&gid(program, es)))
         } else {
-            let d = (self.block_offsets[program] + es_perm) as usize;
+            let d = (self.block_offsets[program] + es) as usize;
             self.cmd_masks[w as usize][d / 64] & (1u64 << (d % 64)) != 0
         }
     }
@@ -1409,21 +1276,18 @@ impl CompiledSpec {
             let hb = ccfg.hot[cur as usize];
             if OBS {
                 if let Some(s) = sink {
-                    ws.path.push(hb.orig);
-                    s.event(TraceEventKind::BlockStep { program: program as u32, block: hb.orig });
+                    ws.path.push(cur);
+                    s.event(TraceEventKind::BlockStep { program: program as u32, block: cur });
                 }
             }
 
             // Command-scope accessibility (finer-grained conditional check).
-            if scope_w != NO_SCOPE
-                && p_cs
-                && !self.scope_allows_w(scope_w, custom, program, cur, hb.orig)
-            {
+            if scope_w != NO_SCOPE && p_cs && !self.scope_allows_w(scope_w, custom, program, cur) {
                 if p_cj {
                     report.violations.push(Violation::BlockOutsideCommand {
                         program,
-                        block: hb.orig,
-                        label: scfg.blocks[hb.orig as usize].label.clone(),
+                        block: cur,
+                        label: scfg.blocks[cur as usize].label.clone(),
                         cmd: self.scope_cmd_w(scope_w, custom),
                     });
                 }
@@ -1435,7 +1299,7 @@ impl CompiledSpec {
 
             // --- DSOD: lowered ops, flat expression programs ---
             if hb.has_dsod {
-                let sblk = &scfg.blocks[hb.orig as usize];
+                let sblk = &scfg.blocks[cur as usize];
                 for k in 0..sblk.dsod.len() {
                     let flag = ccfg.op_flags[hb.ops_at as usize + k];
                     match ccfg.fdsod[hb.ops_at as usize + k] {
@@ -1465,7 +1329,7 @@ impl CompiledSpec {
                                 ws,
                                 req,
                                 program,
-                                hb.orig,
+                                cur,
                                 &sblk.label,
                             ) {
                                 report.violations.push(v);
@@ -1496,7 +1360,7 @@ impl CompiledSpec {
                                             if p_param {
                                                 report.violations.push(Violation::ShadowFault {
                                                     program,
-                                                    block: hb.orig,
+                                                    block: cur,
                                                     detail: "external copy left the arena".into(),
                                                 });
                                             }
@@ -1521,7 +1385,7 @@ impl CompiledSpec {
                                 ws,
                                 req,
                                 program,
-                                hb.orig,
+                                cur,
                                 &sblk.label,
                             ) {
                                 report.violations.push(v);
@@ -1537,7 +1401,7 @@ impl CompiledSpec {
                                 req,
                                 p_param,
                                 program,
-                                hb.orig,
+                                cur,
                                 &sblk.label,
                             ) {
                                 if p_param {
@@ -1561,18 +1425,14 @@ impl CompiledSpec {
                 HKind::Return => {
                     let Some(ret) = ws.call_stack.pop() else {
                         if p_cj {
-                            report
-                                .violations
-                                .push(Violation::UntracedPath { program, block: hb.orig });
+                            report.violations.push(Violation::UntracedPath { program, block: cur });
                         }
                         break;
                     };
                     let es = ccfg.resolve.get(ret as usize).copied().unwrap_or(NO_BLOCK);
                     if es == NO_BLOCK {
                         if p_cj {
-                            report
-                                .violations
-                                .push(Violation::UntracedPath { program, block: hb.orig });
+                            report.violations.push(Violation::UntracedPath { program, block: cur });
                         }
                         break;
                     }
@@ -1581,9 +1441,7 @@ impl CompiledSpec {
                 HKind::Fall => {
                     if hb.a == NO_BLOCK {
                         if p_cj {
-                            report
-                                .violations
-                                .push(Violation::UntracedPath { program, block: hb.orig });
+                            report.violations.push(Violation::UntracedPath { program, block: cur });
                         }
                         break;
                     }
@@ -1623,7 +1481,7 @@ impl CompiledSpec {
                                 if p_param {
                                     report.violations.push(Violation::ShadowFault {
                                         program,
-                                        block: hb.orig,
+                                        block: cur,
                                         detail: e.to_string(),
                                     });
                                 }
@@ -1636,8 +1494,8 @@ impl CompiledSpec {
                         if p_cj {
                             report.violations.push(Violation::UntrainedBranch {
                                 program,
-                                block: hb.orig,
-                                label: scfg.blocks[hb.orig as usize].label.clone(),
+                                block: cur,
+                                label: scfg.blocks[cur as usize].label.clone(),
                                 taken,
                             });
                         }
@@ -1683,7 +1541,7 @@ impl CompiledSpec {
                                 if p_param {
                                     report.violations.push(Violation::ShadowFault {
                                         program,
-                                        block: hb.orig,
+                                        block: cur,
                                         detail: e.to_string(),
                                     });
                                 }
@@ -1712,8 +1570,8 @@ impl CompiledSpec {
                             if p_cj && p_cs {
                                 report.violations.push(Violation::UnknownCommand {
                                     program,
-                                    block: hb.orig,
-                                    label: scfg.blocks[hb.orig as usize].label.clone(),
+                                    block: cur,
+                                    label: scfg.blocks[cur as usize].label.clone(),
                                     cmd: value,
                                 });
                                 break;
@@ -1739,8 +1597,8 @@ impl CompiledSpec {
                         if p_cj {
                             report.violations.push(Violation::UnknownSwitchTarget {
                                 program,
-                                block: hb.orig,
-                                label: scfg.blocks[hb.orig as usize].label.clone(),
+                                block: cur,
+                                label: scfg.blocks[cur as usize].label.clone(),
                                 value,
                             });
                         }
@@ -1767,8 +1625,8 @@ impl CompiledSpec {
                         if config.indirect_jump {
                             report.violations.push(Violation::IndirectTarget {
                                 program,
-                                block: hb.orig,
-                                label: scfg.blocks[hb.orig as usize].label.clone(),
+                                block: cur,
+                                label: scfg.blocks[cur as usize].label.clone(),
                                 value,
                             });
                         }
@@ -1777,9 +1635,7 @@ impl CompiledSpec {
                     let t = ccfg.fn_tos[fi as usize];
                     if t == NO_BLOCK {
                         if p_cj {
-                            report
-                                .violations
-                                .push(Violation::UntracedPath { program, block: hb.orig });
+                            report.violations.push(Violation::UntracedPath { program, block: cur });
                         }
                         break;
                     }
@@ -1795,7 +1651,6 @@ impl CompiledSpec {
     /// Bounds-checks a buffer range under the precomputed checkability
     /// flag; mirrors the interpreted `range_violation` exactly,
     /// including its silent tolerance of evaluation errors.
-    #[allow(clippy::too_many_arguments)]
     #[allow(clippy::too_many_arguments)]
     fn range_violation(
         ccfg: &CompiledCfg,

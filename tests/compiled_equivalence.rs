@@ -21,9 +21,9 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use sedspec::checker::{NoSync, WorkingMode};
+use sedspec::checker::WorkingMode;
 use sedspec::collect::{apply_step, TrainStep};
-use sedspec::compiled::{CompileOptions, CompiledSpec};
+use sedspec::compiled::CompiledSpec;
 use sedspec::enforce::{EnforcingDevice, Engine, IoVerdict};
 use sedspec::pipeline::{train_script, TrainingConfig};
 use sedspec::response::highest_alert;
@@ -329,64 +329,6 @@ fn cve_pocs_batched_matches_sequential() {
                     assert_lockstep(&case, a, b)
                         .unwrap_or_else(|e| panic!("{}: {}", p.cve.id(), e));
                 }
-            }
-        }
-    }
-}
-
-/// Profile-guided block reordering is layout-only: a spec compiled with
-/// a live heat profile must render the same verdicts, stats and shadow
-/// as the identity layout on benign and hostile streams.
-#[test]
-fn pgo_layout_preserves_verdicts() {
-    for kind in [DeviceKind::Fdc, DeviceKind::Pcnet, DeviceKind::Sdhci] {
-        let identity = train(kind, QemuVersion::Patched, 40);
-        let spec = identity.spec().clone();
-
-        // Warm a sinked checker on a short benign stream to accumulate
-        // block heat, then recompile with the profile — the same
-        // feedback loop `SpecRegistry::optimize_from_obs` runs.
-        let hub = Arc::new(ObsHub::new());
-        let device = build_device(kind, QemuVersion::Patched);
-        let mut warm = sedspec::checker::EsChecker::new(spec.clone(), device.control.clone());
-        warm.set_sink(Some(hub.sink(ScopeInfo::device(kind.to_string()))));
-        let mut ctx = VmContext::new(0x200000, 8192);
-        for step in &eval_case(kind, InteractionMode::all()[0], 0.0, 0x5eed) {
-            if let Some(req) = apply_step(step, &mut ctx) {
-                if let Some(pi) = device.route(req) {
-                    warm.walk_round_fast(pi, req, &mut NoSync);
-                    warm.abort_round();
-                }
-            }
-        }
-        let profile = hub.heat_profile(&kind.to_string());
-        let pgo = Arc::new(CompiledSpec::compile_with(
-            Arc::new(spec),
-            &CompileOptions { profile: Some(&profile) },
-        ));
-
-        for seed in [0u64, 1, 3] {
-            let rare = if seed == 0 { 0.0 } else { 0.25 };
-            let steps = eval_case(kind, InteractionMode::all()[(seed % 3) as usize], rare, seed);
-            for mode in [WorkingMode::Protection, WorkingMode::Enhancement] {
-                let drive = |compiled: &Arc<CompiledSpec>| {
-                    let mut dev = build_device(kind, QemuVersion::Patched);
-                    dev.set_limits(ExecLimits { max_steps: 50_000, ..ExecLimits::default() });
-                    let mut enf = EnforcingDevice::new_compiled(dev, Arc::clone(compiled), mode);
-                    let mut ctx = VmContext::new(0x200000, 8192);
-                    let mut verdicts = Vec::new();
-                    for step in &steps {
-                        if let Some(req) = apply_step(step, &mut ctx) {
-                            verdicts.push(enf.handle_io(&mut ctx, req));
-                        }
-                    }
-                    (verdicts, enf.stats, enf.is_halted())
-                };
-                let (vi, si, hi) = drive(&identity);
-                let (vp, sp, hp) = drive(&pgo);
-                assert_eq!(vi, vp, "{kind} {mode:?}: PGO layout changed verdicts");
-                assert_eq!(si, sp, "{kind} {mode:?}: PGO layout changed stats");
-                assert_eq!(hi, hp, "{kind} {mode:?}: PGO layout changed halt latch");
             }
         }
     }

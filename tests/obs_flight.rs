@@ -13,6 +13,7 @@ use std::sync::Arc;
 use sedspec::checker::WorkingMode;
 use sedspec::collect::apply_step;
 use sedspec::enforce::{EnforcingDevice, IoVerdict};
+use sedspec::escfg::Nbtd;
 use sedspec::pipeline::{train_script, TrainingConfig};
 use sedspec::spec::ExecutionSpecification;
 use sedspec_dbl::interp::ExecLimits;
@@ -30,11 +31,12 @@ fn trained(kind: DeviceKind, version: QemuVersion) -> ExecutionSpecification {
 }
 
 /// Replays `cve`'s PoC under observed protection-mode enforcement,
-/// optionally in warn-only degraded mode. Returns the hub and whether
-/// a halt was reached.
-fn run_poc_observed(cve: Cve, degraded: bool) -> (Arc<ObsHub>, bool) {
+/// optionally in warn-only degraded mode. Returns the hub, whether a
+/// halt was reached, and the enforced specification.
+fn run_poc_observed(cve: Cve, degraded: bool) -> (Arc<ObsHub>, bool, ExecutionSpecification) {
     let p = poc(cve);
     let spec = trained(p.device, p.qemu_version);
+    let enforced = spec.clone();
     let mut device = build_device(p.device, p.qemu_version);
     device.set_limits(ExecLimits { max_steps: 50_000, ..ExecLimits::default() });
     let hub = Arc::new(ObsHub::new());
@@ -52,13 +54,13 @@ fn run_poc_observed(cve: Cve, degraded: bool) -> (Arc<ObsHub>, bool) {
             break;
         }
     }
-    (hub, halted)
+    (hub, halted, enforced)
 }
 
 #[test]
 fn every_halting_cve_poc_yields_a_forensic_record() {
     for cve in Cve::all() {
-        let (hub, halted) = run_poc_observed(cve, false);
+        let (hub, halted, spec) = run_poc_observed(cve, false);
         assert!(halted, "{}: the PoC must halt under protection", cve.id());
         let records = hub.forensics();
         assert!(!records.is_empty(), "{}: halt must freeze a flight record", cve.id());
@@ -91,6 +93,36 @@ fn every_halting_cve_poc_yields_a_forensic_record() {
             assert!(!step.label.is_empty(), "{}: unlabelled path step {step}", cve.id());
         }
 
+        // Every walked path is expressed in the specification's own block
+        // numbering: it starts at the handler's entry, ends at the
+        // violated block, and each step follows a trained ES-CFG edge
+        // (indirect calls and returns resolve through their own tables).
+        for record in &records {
+            let Some(violated) = &record.data.violated else { continue };
+            let path = &record.data.block_path;
+            let p = violated.program as usize;
+            let cfg = &spec.cfgs[p];
+            assert!(
+                path.iter().all(|s| s.program == violated.program),
+                "{}: path leaves handler {p}",
+                cve.id()
+            );
+            assert_eq!(path.first().map(|s| s.block), cfg.entry, "{}: path start", cve.id());
+            assert_eq!(path.last().map(|s| s.block), Some(violated.block), "{}", cve.id());
+            for pair in path.windows(2) {
+                let (from, to) = (pair[0].block, pair[1].block);
+                let blk = &cfg.blocks[from as usize];
+                if blk.is_return || matches!(blk.nbtd, Nbtd::Indirect { .. }) {
+                    continue;
+                }
+                assert!(
+                    cfg.edges.get(&from).is_some_and(|es| es.iter().any(|e| e.to == to)),
+                    "{}: p{p}/b{from} -> b{to} is not a trained edge",
+                    cve.id()
+                );
+            }
+        }
+
         // The frozen trace tail shows the walk approaching the halt (a
         // long fatal round may scroll its own RoundBegin out of the
         // fixed-size freeze window, but the block steps remain).
@@ -112,7 +144,7 @@ fn every_halting_cve_poc_yields_a_forensic_record() {
 #[test]
 fn degraded_enforcers_keep_their_flight_records() {
     for cve in Cve::all() {
-        let (hub, halted) = run_poc_observed(cve, true);
+        let (hub, halted, _) = run_poc_observed(cve, true);
         assert!(!halted, "{}: a degraded enforcer must never halt", cve.id());
         let records = hub.forensics();
         let warned = records
@@ -197,7 +229,7 @@ fn forensic_records_survive_an_injected_sink_fault() {
 
 #[test]
 fn the_documented_miss_leaves_no_flight_record() {
-    let (hub, halted) = run_poc_observed(Cve::Cve2016_1568, false);
+    let (hub, halted, _) = run_poc_observed(Cve::Cve2016_1568, false);
     assert!(!halted, "CVE-2016-1568 is the paper's documented miss");
     assert!(hub.forensics().is_empty(), "a PoC that evades detection must not fabricate forensics");
     // The rounds themselves were still traced.

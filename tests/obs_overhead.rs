@@ -243,3 +243,31 @@ fn disabled_window_layer_keeps_walk_batch_allocation_free() {
     );
     drop(hub);
 }
+
+/// Every observed round updates the hub's per-device histograms
+/// (`sedspec_walk_ns{device}` & co.), so updating a series that already
+/// exists must look it up from the borrowed name and label values: only
+/// a series' first sample may build its owned key.
+#[test]
+fn updating_existing_labeled_series_is_allocation_free() {
+    use sedspec_repro::obs::MetricsRegistry;
+
+    let metrics = MetricsRegistry::new();
+    let device = ("device", "FDC");
+    let stage = ("stage", "auth");
+    // First samples create the series and size the histograms' buckets.
+    metrics.inc_labeled("sedspec_alerts_total", device, 1);
+    metrics.observe_labeled("sedspec_walk_ns", device, 900);
+    metrics.observe_labeled2("sedspecd_request_ns", ("op", "SubmitBatch"), stage, 900);
+
+    let before = allocs_on_this_thread();
+    for v in 0..1000u64 {
+        metrics.inc_labeled("sedspec_alerts_total", device, 1);
+        metrics.observe_labeled("sedspec_walk_ns", device, v % 900);
+        metrics.observe_labeled2("sedspecd_request_ns", ("op", "SubmitBatch"), stage, v % 900);
+    }
+    let during = allocs_on_this_thread() - before;
+    assert_eq!(during, 0, "updating existing labeled series allocated {during} times");
+    assert_eq!(metrics.counter("sedspec_alerts_total", Some(device)), 1001);
+    assert_eq!(metrics.histogram("sedspec_walk_ns", Some(device)).map(|h| h.count()), Some(1001));
+}
