@@ -2,11 +2,15 @@
 //!
 //! [`CompiledSpec::compile`] lowers the interpreted [`EsCfg`]s into the
 //! dense zero-allocation tables the hot path walks. This pass checks the
-//! lowering preserved structure in *both* directions: every interpreted
-//! edge resolves to the same target through the compiled tables, and the
-//! compiled tables answer `None`/empty exactly where the interpreted
-//! spec has nothing — so the enforced behaviour after `deploy_compiled`
-//! is the behaviour that was trained.
+//! lowering preserved structure in *both* directions, through the
+//! compiled form's introspection methods, which read the walk's own
+//! block records and value lookups: every interpreted edge resolves to
+//! the same target, and the compiled tables answer `None`/empty exactly
+//! where the interpreted spec has nothing — so the enforced behaviour
+//! after `deploy_compiled` is the behaviour that was trained. A program
+//! whose compiled form has a different block count (a stale compile of
+//! another spec) is reported once instead of being diffed block by
+//! block.
 //!
 //! [`EsCfg`]: sedspec::escfg::EsCfg
 
@@ -35,6 +39,22 @@ pub fn run(spec: &ExecutionSpecification, compiled: &CompiledSpec, out: &mut Vec
         let diverge = |es: u32, msg: String| {
             Diagnostic::new("SA401", msg).in_program(p, &cfg.name).at_gid(gid(p, es))
         };
+        let blocks = compiled.block_count(p).unwrap_or(0);
+        if blocks != cfg.blocks.len() {
+            // Block ids no longer name the same blocks on both sides, so
+            // a per-block diff would only report the shift.
+            out.push(
+                Diagnostic::new(
+                    "SA401",
+                    format!(
+                        "compiled form has {blocks} blocks, interpreted has {}",
+                        cfg.blocks.len()
+                    ),
+                )
+                .in_program(p, &cfg.name),
+            );
+            continue;
+        }
         if compiled.entry_of(p) != cfg.entry {
             out.push(
                 Diagnostic::new(
@@ -68,16 +88,14 @@ pub fn run(spec: &ExecutionSpecification, compiled: &CompiledSpec, out: &mut Vec
                 .edges
                 .get(&es)
                 .map_or(0, |l| l.iter().filter(|e| matches!(e.key, EdgeKey::Case(_))).count());
-            if compiled.case_count(p, es) != trained_cases {
+            let cases = compiled.case_count(p, es).unwrap_or(0);
+            if cases != trained_cases {
                 out.push(diverge(
                     es,
-                    format!(
-                        "{} compiled cases for {trained_cases} trained",
-                        compiled.case_count(p, es)
-                    ),
+                    format!("{cases} compiled cases for {trained_cases} trained"),
                 ));
             }
-            let flags = compiled.op_flags_of(p, es).len();
+            let flags = compiled.op_flags_of(p, es).map_or(0, <[bool]>::len);
             if flags != cfg.blocks[es as usize].dsod.len() {
                 out.push(diverge(
                     es,

@@ -14,16 +14,17 @@
 //!   interpreted [`EsBlock`](crate::escfg::EsBlock)'s `Nbtd` enum (or
 //!   touches its cache-hostile labels and boxed expressions) unless a
 //!   block actually evaluates an expression or raises a violation;
-//! * **dense-index lookups**: switch-case edges, command-access keys and
-//!   indirect-call values dispatch through compact value-indexed tables
-//!   ([`SwitchTab`]) when the trained value range is compact, replacing
-//!   the per-round binary searches; sparse value sets keep the sorted
-//!   slices as fallback;
-//! * **one block index space**: every dense per-block array is indexed
-//!   by the ES block id itself, so violations, trace events, forensic
-//!   paths, command keys and the introspection methods the
-//!   compile-preservation pass (SA401) diffs all speak the
-//!   specification's own numbering with no translation;
+//! * **one value lookup**: switch cases, command decisions and
+//!   indirect-call values all resolve through a [`ValueIndex`], a
+//!   sorted key list plus a dense value-indexed table when the keys are
+//!   compact (one load instead of a binary search);
+//! * **one lowering, checked where it runs**: every per-block array is
+//!   indexed by the ES block id itself, so violations, trace events,
+//!   forensic paths and command keys speak the specification's own
+//!   numbering; the introspection methods the compile-preservation pass
+//!   (SA401) diffs read the walk's own [`HBlock`] records and call the
+//!   same [`ValueIndex::get`], so SA401 checks exactly the tables that
+//!   are enforced;
 //! * a **batched round engine** ([`CompiledSpec::walk_batch`]): clean
 //!   completed rounds are committed by journal watermark and the journal
 //!   is cleared once per batch, amortizing round setup and commit across
@@ -66,9 +67,6 @@ use crate::spec::ExecutionSpecification;
 /// Sentinel for "no block" in dense transition tables.
 const NO_BLOCK: u32 = u32::MAX;
 
-/// Sentinel for "no command key" in dense command lookup tables.
-const NO_KEY: u32 = u32::MAX;
-
 /// Safety bound on walked blocks per round (mirrors the interpreter's).
 const WALK_LIMIT: u64 = 1 << 20;
 
@@ -102,23 +100,6 @@ fn word_scope(w: u32, custom: &Option<CmdCtx>) -> CmdScope {
     }
 }
 
-/// Compiled per-block transition table and operation metadata, indexed
-/// by ES block. This is the introspection-facing record; the walk itself
-/// runs over the packed [`HBlock`] array.
-#[derive(Debug, Clone, Copy)]
-struct CBlock {
-    /// Unconditional successor ([`NO_BLOCK`] if untrained).
-    next: u32,
-    /// Taken-side successor of a branch.
-    taken: u32,
-    /// Not-taken-side successor of a branch.
-    not_taken: u32,
-    /// Range into `case_vals` / `case_tos` (switch dispatch).
-    cases: (u32, u32),
-    /// Start of this block's flags in `op_flags` (`dsod.len()` entries).
-    ops_at: u32,
-}
-
 /// Pre-resolved handler index of one block: the direct-threaded
 /// dispatch code the walk loop jumps through. Dense `u8` codes lower to
 /// a computed-goto jump table; a handler-index byte per block is chosen
@@ -149,15 +130,33 @@ enum HKind {
     Indirect,
 }
 
+impl HKind {
+    /// A switch kind: `aux` indexes a [`SwitchTab`].
+    fn is_switch(self) -> bool {
+        matches!(
+            self,
+            HKind::SwitchEval | HKind::SwitchSync | HKind::SwitchCmdEval | HKind::SwitchCmdSync
+        )
+    }
+
+    /// A command-decision switch: its [`SwitchTab`] carries `cmds`.
+    fn is_cmd_decision(self) -> bool {
+        matches!(self, HKind::SwitchCmdEval | HKind::SwitchCmdSync)
+    }
+}
+
 /// Packed hot-path block record (20 bytes): everything the
 /// direct-threaded walk needs, so a fall-through chain of blocks spans
 /// a couple of cache lines instead of striding through the interpreted
-/// `EsBlock`s. `a` / `b` / `aux` are kind-dependent:
+/// `EsBlock`s. It is also the only per-block record: the introspection
+/// methods read it too. `a` / `b` / `aux` are kind-dependent (targets
+/// are [`NO_BLOCK`] when untrained):
 ///
 /// | kind            | `a`        | `b`          | `aux`                 |
 /// |-----------------|------------|--------------|-----------------------|
 /// | `Fall`          | next       | —            | —                     |
-/// | `Branch*`       | taken      | not-taken    | program-block origin  |
+/// | `BranchEval`    | taken      | not-taken    | condition program     |
+/// | `BranchSync`    | taken      | not-taken    | program-block origin  |
 /// | `Switch*`       | —          | —            | [`SwitchTab`] index   |
 /// | `Indirect`      | pointer var| return origin| —                     |
 #[derive(Debug, Clone, Copy)]
@@ -176,29 +175,18 @@ struct HBlock {
 
 const _: () = assert!(std::mem::size_of::<HBlock>() == 20);
 
-/// Per-switch-block dispatch table: the dense-index (or
-/// sorted-slice-fallback) case lookup, plus — for command decisions —
-/// the pre-resolved slice of the global command-key table, replacing
-/// the `binary_search` over all `(decision, cmd)` pairs.
-#[derive(Debug, Clone, Copy)]
+/// Per-switch-block dispatch: the case lookup plus, for command
+/// decisions, the command lookup into this decision's run of the
+/// global command-key table.
+#[derive(Debug)]
 struct SwitchTab {
-    /// Binary-search fallback range into `case_vals` / `case_tos`.
-    cases: (u32, u32),
-    /// Dense case table: `case_lut[lut_at + (v - lut_min)]` when
-    /// `v - lut_min < lut_span`; `lut_span == 0` means fall back.
-    lut_at: u32,
-    lut_span: u32,
-    lut_min: u64,
+    /// Trained case value → target ES block.
+    cases: ValueIndex,
+    /// Command decisions only: command → index into the sorted global
+    /// `cmd_keys` (empty for plain switches).
+    cmds: ValueIndex,
     /// Program-block origin (sync-provider lookups).
     origin: u32,
-    /// Command-decision only: this decision's contiguous range in the
-    /// sorted global `cmd_keys`.
-    cmd_keys: (u32, u32),
-    /// Dense command table over `cmd_lut`, same convention as the case
-    /// table; values are global command-key indices ([`NO_KEY`] holes).
-    cmd_lut_at: u32,
-    cmd_lut_span: u32,
-    cmd_lut_min: u64,
     /// Lowered scrutinee program (evaluating switch kinds).
     scrut: u32,
 }
@@ -335,13 +323,6 @@ fn eval_flat(
     stack.clear();
     for op in ops {
         let v = match *op {
-            FOp::Const(c) => TypedValue::u64(c),
-            FOp::Var(v) => cs.var_typed(v),
-            FOp::Local(l) => locals.get(l as usize).copied().unwrap_or(TypedValue::u64(0)),
-            FOp::IoData => TypedValue::u64(io.data),
-            FOp::IoAddr => TypedValue::u64(io.addr),
-            FOp::IoSize => TypedValue::u64(u64::from(io.size)),
-            FOp::IoLen => TypedValue::u64(io.payload.len() as u64),
             FOp::IoByte => {
                 let i = stack.pop().expect("lowered arity");
                 TypedValue::unsigned(
@@ -354,7 +335,6 @@ fn eval_flat(
                 let (byte, _) = cs.buf_read(b, i.as_i128() as i64).map_err(EvalError::Arena)?;
                 TypedValue::unsigned(u64::from(byte), Width::W8)
             }
-            FOp::BufLen(b) => TypedValue::u64(cs.buf_len(b) as u64),
             FOp::Un(op) => {
                 let a = stack.pop().expect("lowered arity");
                 apply_unop(op, a)
@@ -364,6 +344,8 @@ fn eval_flat(
                 let va = stack.pop().expect("lowered arity");
                 eval_bin(op, lit, va, vb, flags)?
             }
+            leaf => eval_leaf(leaf, cs, locals, io)
+                .expect("every op that pops stack operands is matched above"),
         };
         stack.push(v);
     }
@@ -435,33 +417,20 @@ enum FDsod {
 struct CompiledCfg {
     /// Entry ES block, [`NO_BLOCK`] when never traced.
     entry: u32,
-    blocks: Vec<CBlock>,
-    /// Packed hot-path records, parallel to `blocks`.
+    /// Packed per-block records, one per ES block.
     hot: Vec<HBlock>,
     switch_tabs: Vec<SwitchTab>,
-    /// Flat sorted switch-case scrutinee values, sliced per block.
-    case_vals: Vec<u64>,
-    /// Case targets, parallel to `case_vals`.
-    case_tos: Vec<u32>,
-    /// Dense case-dispatch arena ([`NO_BLOCK`] holes).
-    case_lut: Vec<u32>,
-    /// Dense command-dispatch arena ([`NO_KEY`] holes).
-    cmd_lut: Vec<u32>,
     /// Per-DSOD-op parameter-check flags (meaning depends on op kind;
     /// see [`op_flag`]).
     op_flags: Vec<bool>,
     /// Program-block origin → ES block after pass-through resolution.
     resolve: Vec<u32>,
-    /// Statically legitimate function-pointer values, sorted.
-    fn_vals: Vec<u64>,
+    /// Statically legitimate function-pointer value → its position in
+    /// `fn_tos`.
+    fns: ValueIndex,
     /// Observed ES target per legit value ([`NO_BLOCK`] = legit but
-    /// untraced), parallel to `fn_vals`.
+    /// untraced), parallel to `fns`' sorted keys.
     fn_tos: Vec<u32>,
-    /// Dense indirect-value table: indices into `fn_vals` ([`NO_KEY`]
-    /// holes); `fn_lut_span == 0` means binary search.
-    fn_lut: Vec<u32>,
-    fn_lut_min: u64,
-    fn_lut_span: u32,
     /// Flat postfix expression arena ([`eval_flat`]).
     fops: Vec<FOp>,
     /// `(start, len)` program handles into `fops`.
@@ -713,14 +682,69 @@ fn dense_span(vals: &[u64]) -> Option<(u64, u32)> {
     }
 }
 
+/// Hole in a [`ValueIndex`]'s dense table. A payload equal to it reads
+/// as absent on both sides of the index.
+const ABSENT: u32 = u32::MAX;
+
+/// The compiled form's one `u64` value → `u32` payload lookup: switch
+/// cases (value → ES block), command decisions (command → global
+/// command-key index) and function-pointer tables (value → position in
+/// `fn_tos`). The walk and the introspection methods SA401 diffs both
+/// resolve values through [`ValueIndex::get`].
+///
+/// The sorted key list is always kept; it is the only side that can
+/// hold a sparse set, and a specification published as JSON may carry
+/// one. When [`dense_span`] admits the keys, `get` reads a
+/// value-indexed table instead: one load where the sorted side is a
+/// data-dependent binary search.
+#[derive(Debug, Default)]
+struct ValueIndex {
+    /// Sorted, distinct keys.
+    keys: Vec<u64>,
+    /// Payload per key, parallel to `keys`.
+    vals: Vec<u32>,
+    /// `dense[k - min]` is key `k`'s payload ([`ABSENT`] holes); empty
+    /// when the keys are too sparse for a table.
+    dense: Vec<u32>,
+    min: u64,
+}
+
+impl ValueIndex {
+    /// Indexes `(key, payload)` pairs. The first pair given for a key
+    /// wins, like the interpreted specification's first-match edge
+    /// lookup.
+    fn build(mut pairs: Vec<(u64, u32)>) -> Self {
+        pairs.sort_by_key(|&(k, _)| k);
+        pairs.dedup_by_key(|&mut (k, _)| k);
+        let (keys, vals): (Vec<u64>, Vec<u32>) = pairs.into_iter().unzip();
+        let (min, dense) = match dense_span(&keys) {
+            Some((min, span)) => {
+                let mut dense = vec![ABSENT; span as usize];
+                for (&k, &v) in keys.iter().zip(&vals) {
+                    dense[(k - min) as usize] = v;
+                }
+                (min, dense)
+            }
+            None => (0, Vec::new()),
+        };
+        ValueIndex { keys, vals, dense, min }
+    }
+
+    /// The payload of `key`, `None` when `key` is not indexed.
+    #[inline]
+    fn get(&self, key: u64) -> Option<u32> {
+        let v = if self.dense.is_empty() {
+            self.vals[self.keys.binary_search(&key).ok()?]
+        } else {
+            *self.dense.get(usize::try_from(key.wrapping_sub(self.min)).ok()?)?
+        };
+        (v != ABSENT).then_some(v)
+    }
+}
+
 fn compile_cfg(cfg: &EsCfg, params: &DeviceStateParams) -> CompiledCfg {
-    let n = cfg.blocks.len();
-    let mut blocks = Vec::with_capacity(n);
-    let mut hot = Vec::with_capacity(n);
+    let mut hot = Vec::with_capacity(cfg.blocks.len());
     let mut switch_tabs = Vec::new();
-    let mut case_vals = Vec::new();
-    let mut case_tos: Vec<u32> = Vec::new();
-    let mut case_lut: Vec<u32> = Vec::new();
     let mut op_flags = Vec::new();
     let mut fops: Vec<FOp> = Vec::new();
     let mut fprogs: Vec<(u32, u32)> = Vec::new();
@@ -734,22 +758,6 @@ fn compile_cfg(cfg: &EsCfg, params: &DeviceStateParams) -> CompiledCfg {
             fprogs.push((start, fops.len() as u32 - start));
             (fprogs.len() - 1) as u32
         };
-        let cases_start = case_vals.len() as u32;
-        if let Some(list) = cfg.edges.get(&es) {
-            let mut cases: Vec<(u64, u32)> = list
-                .iter()
-                .filter_map(|e| match e.key {
-                    EdgeKey::Case(v) => Some((v, e.to)),
-                    _ => None,
-                })
-                .collect();
-            cases.sort_unstable(); // already key-sorted post-training; re-sort defensively
-            for (v, to) in cases {
-                case_vals.push(v);
-                case_tos.push(to);
-            }
-        }
-        let cases_end = case_vals.len() as u32;
         let ops_at = op_flags.len() as u32;
         op_flags.extend(blk.dsod.iter().map(|op| op_flag(op, params)));
         for op in &blk.dsod {
@@ -777,13 +785,10 @@ fn compile_cfg(cfg: &EsCfg, params: &DeviceStateParams) -> CompiledCfg {
                 }
             });
         }
-        let next = pick(EdgeKey::Next);
-        let taken = pick(EdgeKey::Taken);
-        let not_taken = pick(EdgeKey::NotTaken);
         let (kind, a, b, aux) = match &blk.nbtd {
             Nbtd::None if blk.is_exit => (HKind::Exit, 0, 0, 0),
             Nbtd::None if blk.is_return => (HKind::Return, 0, 0, 0),
-            Nbtd::None => (HKind::Fall, next, 0, 0),
+            Nbtd::None => (HKind::Fall, pick(EdgeKey::Next), 0, 0),
             // An eval branch carries its lowered condition in `aux`; a
             // sync branch carries the program-block origin the provider
             // is keyed on.
@@ -793,35 +798,25 @@ fn compile_cfg(cfg: &EsCfg, params: &DeviceStateParams) -> CompiledCfg {
                 } else {
                     (HKind::BranchEval, lower(cond))
                 };
-                (kind, taken, not_taken, aux)
+                (kind, pick(EdgeKey::Taken), pick(EdgeKey::NotTaken), aux)
             }
             Nbtd::Switch { scrutinee, needs_sync, is_cmd_decision } => {
                 let tab = switch_tabs.len() as u32;
-                let vals = &case_vals[cases_start as usize..cases_end as usize];
-                let (lut_min, lut_span, lut_at) = match dense_span(vals) {
-                    Some((min, span)) => {
-                        let at = case_lut.len() as u32;
-                        case_lut.resize(case_lut.len() + span as usize, NO_BLOCK);
-                        for (k, &v) in vals.iter().enumerate() {
-                            case_lut[(at + (v - min) as u32) as usize] =
-                                case_tos[cases_start as usize + k];
-                        }
-                        (min, span, at)
-                    }
-                    None => (0, 0, 0),
-                };
-                let scrut = lower(scrutinee);
+                let cases = cfg.edges.get(&es).map_or_else(Vec::new, |list| {
+                    list.iter()
+                        .filter_map(|e| match e.key {
+                            EdgeKey::Case(v) => Some((v, e.to)),
+                            _ => None,
+                        })
+                        .collect()
+                });
                 switch_tabs.push(SwitchTab {
-                    cases: (cases_start, cases_end),
-                    lut_at,
-                    lut_span,
-                    lut_min,
+                    cases: ValueIndex::build(cases),
+                    // Filled in by `compile` once the global command-key
+                    // order is known.
+                    cmds: ValueIndex::default(),
                     origin: blk.origin,
-                    cmd_keys: (0, 0),
-                    cmd_lut_at: 0,
-                    cmd_lut_span: 0,
-                    cmd_lut_min: 0,
-                    scrut,
+                    scrut: lower(scrutinee),
                 });
                 let kind = match (*needs_sync, *is_cmd_decision) {
                     (false, false) => HKind::SwitchEval,
@@ -833,7 +828,6 @@ fn compile_cfg(cfg: &EsCfg, params: &DeviceStateParams) -> CompiledCfg {
             }
             Nbtd::Indirect { ptr, ret_origin } => (HKind::Indirect, ptr.0, *ret_origin, 0),
         };
-        blocks.push(CBlock { next, taken, not_taken, cases: (cases_start, cases_end), ops_at });
         hot.push(HBlock {
             a,
             b,
@@ -851,35 +845,20 @@ fn compile_cfg(cfg: &EsCfg, params: &DeviceStateParams) -> CompiledCfg {
             resolve[origin as usize] = es;
         }
     }
-    let fn_vals: Vec<u64> = cfg.legit_fn_values.iter().copied().collect();
+    // `legit_fn_values` is a sorted set, so position `i` is also the
+    // rank of the value among `fns`' keys.
+    let fns =
+        ValueIndex::build(cfg.legit_fn_values.iter().zip(0..).map(|(&v, i)| (v, i)).collect());
     let fn_tos: Vec<u32> =
-        fn_vals.iter().map(|v| cfg.fn_targets.get(v).copied().unwrap_or(NO_BLOCK)).collect();
-    let (fn_lut_min, fn_lut_span, fn_lut) = match dense_span(&fn_vals) {
-        Some((min, span)) => {
-            let mut lut = vec![NO_KEY; span as usize];
-            for (i, &v) in fn_vals.iter().enumerate() {
-                lut[(v - min) as usize] = i as u32;
-            }
-            (min, span, lut)
-        }
-        None => (0, 0, Vec::new()),
-    };
+        fns.keys.iter().map(|v| cfg.fn_targets.get(v).copied().unwrap_or(NO_BLOCK)).collect();
     CompiledCfg {
         entry: cfg.entry.unwrap_or(NO_BLOCK),
-        blocks,
         hot,
         switch_tabs,
-        case_vals,
-        case_tos,
-        case_lut,
-        cmd_lut: Vec::new(),
         op_flags,
         resolve,
-        fn_vals,
+        fns,
         fn_tos,
-        fn_lut,
-        fn_lut_min,
-        fn_lut_span,
         fops,
         fprogs,
         fdsod,
@@ -930,31 +909,19 @@ impl CompiledSpec {
             })
             .collect();
 
-        // Patch command-decision switch tables now that the global key
-        // order is known: each decision's contiguous key range plus a
-        // dense cmd → key-index table when the command set is compact.
-        for (p, ccfg) in cfgs.iter_mut().enumerate() {
-            for (es, hb) in ccfg.hot.iter().enumerate() {
-                if !matches!(hb.kind, HKind::SwitchCmdEval | HKind::SwitchCmdSync) {
-                    continue;
-                }
-                let g = gid(p, es as u32);
-                let lo = cmd_keys.partition_point(|k| k.0 < g);
-                let hi = cmd_keys.partition_point(|k| k.0 <= g);
-                let tab = &mut ccfg.switch_tabs[hb.aux as usize];
-                tab.cmd_keys = (lo as u32, hi as u32);
-                let cmds: Vec<u64> = cmd_keys[lo..hi].iter().map(|k| k.1).collect();
-                if let Some((min, span)) = dense_span(&cmds) {
-                    tab.cmd_lut_at = ccfg.cmd_lut.len() as u32;
-                    tab.cmd_lut_min = min;
-                    tab.cmd_lut_span = span;
-                    ccfg.cmd_lut.resize(ccfg.cmd_lut.len() + span as usize, NO_KEY);
-                    for (k, &c) in cmds.iter().enumerate() {
-                        ccfg.cmd_lut[(tab.cmd_lut_at + (c - min) as u32) as usize] =
-                            (lo + k) as u32;
-                    }
-                }
+        // Now that the global key order is known, index each command
+        // decision's run of keys: command → global key index. Runs whose
+        // decision is no command-decision switch stay unreachable, as the
+        // walk never consults them.
+        let mut lo = 0u32;
+        for run in cmd_keys.chunk_by(|x, y| x.0 == y.0) {
+            let (p, es) = ungid(run[0].0);
+            let hb = cfgs.get(p).and_then(|c| c.hot.get(es as usize)).copied();
+            if let Some(hb) = hb.filter(|hb| hb.kind.is_cmd_decision()) {
+                cfgs[p].switch_tabs[hb.aux as usize].cmds =
+                    ValueIndex::build(run.iter().zip(lo..).map(|(k, i)| (k.1, i)).collect());
             }
+            lo += run.len() as u32;
         }
         CompiledSpec { spec, cfgs, block_offsets, cmd_keys, cmd_masks, cmd_entry_idx }
     }
@@ -984,37 +951,46 @@ impl CompiledSpec {
         (ccfg.entry != NO_BLOCK).then_some(ccfg.entry)
     }
 
-    /// Compiled transition target out of `program`/`es` for `key`,
-    /// resolved exactly as the hot-path walk would (dense fields for
-    /// branch/next, dense table or binary search for cases and indirect
-    /// values).
+    /// Number of compiled blocks of `program`, `None` when there is no
+    /// such program.
+    pub fn block_count(&self, program: usize) -> Option<usize> {
+        Some(self.cfgs.get(program)?.hot.len())
+    }
+
+    /// Compiled transition target out of `program`/`es` for `key`, read
+    /// from the walk's own block record: a key the block's compiled kind
+    /// never takes (a `Case` out of a branch, `Next` out of an exit)
+    /// resolves to `None`, and case and indirect values go through the
+    /// same value lookup as the walk.
     pub fn edge_target(&self, program: usize, es: u32, key: EdgeKey) -> Option<u32> {
-        let ccfg = &self.cfgs[program];
-        let blk = ccfg.blocks.get(es as usize)?;
+        let ccfg = self.cfgs.get(program)?;
+        let hb = ccfg.hot.get(es as usize)?;
+        let branch = matches!(hb.kind, HKind::BranchEval | HKind::BranchSync);
         let to = match key {
-            EdgeKey::Next => blk.next,
-            EdgeKey::Taken => blk.taken,
-            EdgeKey::NotTaken => blk.not_taken,
-            EdgeKey::Case(v) => {
-                let (cs, ce) = (blk.cases.0 as usize, blk.cases.1 as usize);
-                match ccfg.case_vals[cs..ce].binary_search(&v) {
-                    Ok(i) => ccfg.case_tos[cs + i],
-                    Err(_) => NO_BLOCK,
-                }
+            EdgeKey::Next if hb.kind == HKind::Fall => hb.a,
+            EdgeKey::Taken if branch => hb.a,
+            EdgeKey::NotTaken if branch => hb.b,
+            EdgeKey::Case(v) if hb.kind.is_switch() => {
+                ccfg.switch_tabs[hb.aux as usize].cases.get(v)?
             }
-            EdgeKey::IndirectTo(v) => match ccfg.fn_vals.binary_search(&v) {
-                Ok(i) => ccfg.fn_tos[i],
-                Err(_) => NO_BLOCK,
-            },
+            EdgeKey::IndirectTo(v) if hb.kind == HKind::Indirect => {
+                ccfg.fn_tos[ccfg.fns.get(v)? as usize]
+            }
+            _ => NO_BLOCK,
         };
         (to != NO_BLOCK).then_some(to)
     }
 
-    /// Number of compiled switch cases out of `program`/`es`.
-    pub fn case_count(&self, program: usize, es: u32) -> usize {
-        let ccfg = &self.cfgs[program];
-        let blk = &ccfg.blocks[es as usize];
-        (blk.cases.1 - blk.cases.0) as usize
+    /// Number of compiled switch cases out of `program`/`es` (zero for
+    /// a block that is no switch), `None` when there is no such block.
+    pub fn case_count(&self, program: usize, es: u32) -> Option<usize> {
+        let ccfg = self.cfgs.get(program)?;
+        let hb = ccfg.hot.get(es as usize)?;
+        Some(if hb.kind.is_switch() {
+            ccfg.switch_tabs[hb.aux as usize].cases.keys.len()
+        } else {
+            0
+        })
     }
 
     /// Compiled pass-through resolution of a program-block origin.
@@ -1029,7 +1005,8 @@ impl CompiledSpec {
     /// untraced).
     pub fn fn_entries(&self, program: usize) -> Vec<(u64, Option<u32>)> {
         let ccfg = &self.cfgs[program];
-        ccfg.fn_vals
+        ccfg.fns
+            .keys
             .iter()
             .zip(&ccfg.fn_tos)
             .map(|(&v, &t)| (v, (t != NO_BLOCK).then_some(t)))
@@ -1042,10 +1019,11 @@ impl CompiledSpec {
     }
 
     /// Whether compiled command key `key_idx` admits block
-    /// `program`/`es` through its accessibility bitmap.
+    /// `program`/`es` through its accessibility bitmap (`false` for a
+    /// block the compiled form does not have).
     pub fn cmd_mask_allows(&self, key_idx: usize, program: usize, es: u32) -> bool {
-        let d = (self.block_offsets[program] + es) as usize;
-        self.cmd_masks[key_idx][d / 64] & (1u64 << (d % 64)) != 0
+        self.block_count(program).is_some_and(|n| (es as usize) < n)
+            && self.scope_allows_w(key_idx as u32, &None, program, es)
     }
 
     /// Number of bits set in compiled command key `key_idx`'s bitmap.
@@ -1054,12 +1032,11 @@ impl CompiledSpec {
     }
 
     /// Precomputed parameter-check flags of `program`/`es`, one per
-    /// DSOD op.
-    pub fn op_flags_of(&self, program: usize, es: u32) -> &[bool] {
-        let ccfg = &self.cfgs[program];
-        let blk = &ccfg.blocks[es as usize];
+    /// DSOD op, `None` when there is no such block.
+    pub fn op_flags_of(&self, program: usize, es: u32) -> Option<&[bool]> {
+        let ops_at = self.cfgs.get(program)?.hot.get(es as usize)?.ops_at as usize;
         let n = self.spec.cfgs[program].blocks[es as usize].dsod.len();
-        &ccfg.op_flags[blk.ops_at as usize..blk.ops_at as usize + n]
+        self.cfgs[program].op_flags.get(ops_at..ops_at + n)
     }
 
     /// Maps a (possibly restored) interpreted command context to its
@@ -1549,22 +1526,8 @@ impl CompiledSpec {
                             }
                         }
                     };
-                    if matches!(hb.kind, HKind::SwitchCmdEval | HKind::SwitchCmdSync) {
-                        let ki = if tab.cmd_lut_span != 0 {
-                            let d = value.wrapping_sub(tab.cmd_lut_min);
-                            if d < u64::from(tab.cmd_lut_span) {
-                                ccfg.cmd_lut[(tab.cmd_lut_at + d as u32) as usize]
-                            } else {
-                                NO_KEY
-                            }
-                        } else {
-                            let (lo, hi) = (tab.cmd_keys.0 as usize, tab.cmd_keys.1 as usize);
-                            match self.cmd_keys[lo..hi].binary_search_by_key(&value, |k| k.1) {
-                                Ok(i) => (lo + i) as u32,
-                                Err(_) => NO_KEY,
-                            }
-                        };
-                        if ki != NO_KEY {
+                    if hb.kind.is_cmd_decision() {
+                        if let Some(ki) = tab.cmds.get(value) {
                             scope_w = ki;
                         } else {
                             if p_cj && p_cs {
@@ -1579,21 +1542,7 @@ impl CompiledSpec {
                             scope_w = NO_SCOPE;
                         }
                     }
-                    let to = if tab.lut_span != 0 {
-                        let d = value.wrapping_sub(tab.lut_min);
-                        if d < u64::from(tab.lut_span) {
-                            ccfg.case_lut[(tab.lut_at + d as u32) as usize]
-                        } else {
-                            NO_BLOCK
-                        }
-                    } else {
-                        let (cs, ce) = (tab.cases.0 as usize, tab.cases.1 as usize);
-                        match ccfg.case_vals[cs..ce].binary_search(&value) {
-                            Ok(i) => ccfg.case_tos[cs + i],
-                            Err(_) => NO_BLOCK,
-                        }
-                    };
-                    if to == NO_BLOCK {
+                    let Some(to) = tab.cases.get(value) else {
                         if p_cj {
                             report.violations.push(Violation::UnknownSwitchTarget {
                                 program,
@@ -1603,25 +1552,12 @@ impl CompiledSpec {
                             });
                         }
                         break;
-                    }
+                    };
                     cur = to;
                 }
                 HKind::Indirect => {
                     let value = ws.shadow.var(VarId(hb.a));
-                    let fi = if ccfg.fn_lut_span != 0 {
-                        let d = value.wrapping_sub(ccfg.fn_lut_min);
-                        if d < u64::from(ccfg.fn_lut_span) {
-                            ccfg.fn_lut[d as usize]
-                        } else {
-                            NO_KEY
-                        }
-                    } else {
-                        match ccfg.fn_vals.binary_search(&value) {
-                            Ok(i) => i as u32,
-                            Err(_) => NO_KEY,
-                        }
-                    };
-                    if fi == NO_KEY {
+                    let Some(fi) = ccfg.fns.get(value) else {
                         if config.indirect_jump {
                             report.violations.push(Violation::IndirectTarget {
                                 program,
@@ -1631,7 +1567,7 @@ impl CompiledSpec {
                             });
                         }
                         break;
-                    }
+                    };
                     let t = ccfg.fn_tos[fi as usize];
                     if t == NO_BLOCK {
                         if p_cj {
@@ -1842,5 +1778,40 @@ impl CompiledSpec {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `get` answers exactly what a plain search of the sorted keys
+    /// answers, on both sides of the index.
+    #[test]
+    fn value_index_agrees_with_a_sorted_search() {
+        let dense: Vec<u64> = vec![0x10, 0x11, 0x14, 0x40, 0x7f];
+        let sparse: Vec<u64> = vec![3, 0x2000, 0x9000, 1 << 40, u64::MAX - 1];
+        for (keys, is_dense) in [(dense, true), (sparse, false)] {
+            let pairs: Vec<(u64, u32)> = keys.iter().zip(100..).map(|(&k, v)| (k, v)).collect();
+            // Reversed input, plus a later duplicate that must lose.
+            let mut given: Vec<(u64, u32)> = pairs.iter().rev().copied().collect();
+            given.push((keys[1], 7));
+            let idx = ValueIndex::build(given);
+            assert_eq!(!idx.dense.is_empty(), is_dense, "{keys:x?}");
+            let (min, max) = (keys[0], keys[keys.len() - 1]);
+            let mut probes = vec![0, min.wrapping_sub(1), max.wrapping_add(1), u64::MAX];
+            for &k in &keys {
+                probes.extend([k, k.wrapping_sub(1), k.wrapping_add(1)]);
+            }
+            for p in probes {
+                let want = pairs.binary_search_by_key(&p, |&(k, _)| k).ok().map(|i| pairs[i].1);
+                assert_eq!(idx.get(p), want, "probe {p:#x} in {keys:x?}");
+            }
+        }
+        assert_eq!(ValueIndex::default().get(0), None);
+        // A payload equal to the hole sentinel reads as absent on both
+        // sides.
+        assert_eq!(ValueIndex::build(vec![(5, ABSENT)]).get(5), None);
+        assert_eq!(ValueIndex::build(vec![(5, ABSENT), (1 << 20, 1)]).get(5), None);
     }
 }

@@ -11,13 +11,15 @@
 //! same [`IoVerdict`] and alert level, and at the end the same
 //! `EnforceStats`, halt latch, shadow state and command scope. The
 //! inputs are random benign-and-rare streams for all five devices in
-//! both working modes, plus every CVE proof-of-concept stream from
-//! Table III:
+//! both working modes, every CVE proof-of-concept stream from Table III,
+//! and benign, mutated and boundary-probe streams for a hand-built
+//! device whose value lookups are all too sparse for a dense table:
 //!
 //! * compiled ≡ interpreted, normal and degraded;
 //! * batched ≡ sequential (compiled engine);
 //! * observed ≡ unobserved, round by round and batched.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -27,21 +29,29 @@ use sedspec::compiled::CompiledSpec;
 use sedspec::enforce::{EnforcingDevice, Engine, IoVerdict};
 use sedspec::pipeline::{train_script, TrainingConfig};
 use sedspec::response::highest_alert;
+use sedspec_dbl::builder::ProgramBuilder;
 use sedspec_dbl::interp::ExecLimits;
-use sedspec_repro::devices::{build_device, DeviceKind, QemuVersion};
+use sedspec_dbl::ir::{BinOp, Expr, Width};
+use sedspec_dbl::state::ControlStructure;
+use sedspec_repro::devices::{build_device, Device, DeviceKind, EntryPoint, QemuVersion};
+use sedspec_repro::fuzz::mutate::Mutator;
+use sedspec_repro::fuzz::rng::FuzzRng;
 use sedspec_repro::obs::{ObsHub, ScopeInfo};
-use sedspec_repro::vmm::{IoRequest, VmContext};
+use sedspec_repro::vmm::{AddressSpace, IoRequest, VmContext};
 use sedspec_repro::workloads::attacks::{poc, Cve, Poc};
 use sedspec_repro::workloads::generators::{eval_case, training_suite};
 use sedspec_repro::workloads::InteractionMode;
 
 fn train(kind: DeviceKind, version: QemuVersion, cases: usize) -> Arc<CompiledSpec> {
-    let mut device = build_device(kind, version);
+    train_on(&build_device(kind, version), &training_suite(kind, cases, 0x7a11))
+}
+
+fn train_on(device: &Device, suite: &[Vec<TrainStep>]) -> Arc<CompiledSpec> {
+    let mut device = device.clone();
     device.set_limits(ExecLimits { max_steps: 50_000, ..ExecLimits::default() });
     let mut ctx = VmContext::new(0x200000, 8192);
-    let suite = training_suite(kind, cases, 0x7a11);
     let spec =
-        train_script(&mut device, &mut ctx, &suite, &TrainingConfig::default()).expect("training");
+        train_script(&mut device, &mut ctx, suite, &TrainingConfig::default()).expect("training");
     Arc::new(CompiledSpec::compile(Arc::new(spec)))
 }
 
@@ -71,8 +81,8 @@ impl Side {
 
 /// The traffic and configuration both sides of a comparison share.
 struct Case<'a> {
-    kind: DeviceKind,
-    version: QemuVersion,
+    /// The device under test; each side drives its own clone.
+    device: &'a Device,
     compiled: &'a Arc<CompiledSpec>,
     steps: &'a [TrainStep],
     mode: WorkingMode,
@@ -100,7 +110,7 @@ fn drive(case: &Case, side: Side) -> (Vec<IoVerdict>, EnforcingDevice) {
         pending.clear();
     }
 
-    let mut device = build_device(case.kind, case.version);
+    let mut device = case.device.clone();
     device.set_limits(ExecLimits { max_steps: 50_000, ..ExecLimits::default() });
     let mut enforcer = EnforcingDevice::new_compiled(device, Arc::clone(case.compiled), case.mode)
         .with_engine(side.engine);
@@ -109,7 +119,7 @@ fn drive(case: &Case, side: Side) -> (Vec<IoVerdict>, EnforcingDevice) {
     }
     if side.observed {
         let hub = Arc::new(ObsHub::new());
-        enforcer.set_sink(Some(hub.sink(ScopeInfo::device(case.kind.to_string()))));
+        enforcer.set_sink(Some(hub.sink(ScopeInfo::device(case.device.name.clone()))));
     }
     let mut ctx = VmContext::new(0x200000, 8192);
     let mut verdicts = Vec::new();
@@ -140,8 +150,8 @@ fn drive(case: &Case, side: Side) -> (Vec<IoVerdict>, EnforcingDevice) {
 fn assert_lockstep(case: &Case, a: Side, b: Side) -> Result<(), TestCaseError> {
     let (va, ea) = drive(case, a);
     let (vb, eb) = drive(case, b);
-    let (kind, mode, degraded) = (case.kind, case.mode, case.degraded);
-    let at = format!("{kind} {mode:?} degraded={degraded} {a:?} vs {b:?}");
+    let (name, mode, degraded) = (&case.device.name, case.mode, case.degraded);
+    let at = format!("{name} {mode:?} degraded={degraded} {a:?} vs {b:?}");
     prop_assert_eq!(va.len(), vb.len(), "{}: verdict counts diverged", at);
     for (round, (x, y)) in va.iter().zip(&vb).enumerate() {
         prop_assert_eq!(x, y, "{} round {}: verdicts diverged", at, round);
@@ -187,24 +197,25 @@ fn eval_stream(kind: DeviceKind, seed: u64) -> Vec<TrainStep> {
 /// A CVE proof-of-concept stream against the device version it targets.
 fn poc_case<'a>(
     p: &'a Poc,
+    device: &'a Device,
     compiled: &'a Arc<CompiledSpec>,
     mode: WorkingMode,
     degraded: bool,
 ) -> Case<'a> {
-    Case { kind: p.device, version: p.qemu_version, compiled, steps: &p.steps, mode, degraded }
+    Case { device, compiled, steps: &p.steps, mode, degraded }
 }
 
 /// Compiled ≡ interpreted in both working modes; on hostile streams
 /// also in degraded (warn-only) mode.
 fn run_differential(kind: DeviceKind, seed: u64) -> Result<(), TestCaseError> {
+    let device = build_device(kind, QemuVersion::Patched);
     let compiled = train(kind, QemuVersion::Patched, 40);
     let steps = eval_stream(kind, seed);
     let hostile = !seed.is_multiple_of(2);
     let degraded_modes: &[bool] = if hostile { &[false, true] } else { &[false] };
     for mode in [WorkingMode::Protection, WorkingMode::Enhancement] {
         for &degraded in degraded_modes {
-            let version = QemuVersion::Patched;
-            let case = Case { kind, version, compiled: &compiled, steps: &steps, mode, degraded };
+            let case = Case { device: &device, compiled: &compiled, steps: &steps, mode, degraded };
             assert_lockstep(&case, Side::COMPILED, Side::INTERPRETED)?;
         }
     }
@@ -248,10 +259,11 @@ proptest! {
 fn cve_pocs_render_identical_verdicts() {
     for cve in Cve::all_with_known_miss() {
         let p = poc(cve);
+        let device = build_device(p.device, p.qemu_version);
         let compiled = train(p.device, p.qemu_version, 60);
         for mode in [WorkingMode::Protection, WorkingMode::Enhancement] {
             for degraded in [false, true] {
-                let case = poc_case(&p, &compiled, mode, degraded);
+                let case = poc_case(&p, &device, &compiled, mode, degraded);
                 assert_lockstep(&case, Side::COMPILED, Side::INTERPRETED)
                     .unwrap_or_else(|e| panic!("{}: {}", p.cve.id(), e));
             }
@@ -264,13 +276,13 @@ fn cve_pocs_render_identical_verdicts() {
 /// unobservable (hostile rounds stop the batch and re-drive
 /// sequentially), and attaching a sink must not change a verdict.
 fn run_batched_differential(kind: DeviceKind, seed: u64) -> Result<(), TestCaseError> {
+    let device = build_device(kind, QemuVersion::Patched);
     let compiled = train(kind, QemuVersion::Patched, 40);
     let steps = eval_stream(kind, seed);
     let chunk = [1, 2, 3, 5, 16, 64, 256][(seed % 7) as usize];
     for mode in [WorkingMode::Protection, WorkingMode::Enhancement] {
-        let version = QemuVersion::Patched;
         let case =
-            Case { kind, version, compiled: &compiled, steps: &steps, mode, degraded: false };
+            Case { device: &device, compiled: &compiled, steps: &steps, mode, degraded: false };
         for (a, b) in batch_and_sink_pairs(chunk) {
             assert_lockstep(&case, a, b)?;
         }
@@ -321,13 +333,169 @@ proptest! {
 fn cve_pocs_batched_matches_sequential() {
     for cve in Cve::all_with_known_miss() {
         let p = poc(cve);
+        let device = build_device(p.device, p.qemu_version);
         let compiled = train(p.device, p.qemu_version, 60);
         for mode in [WorkingMode::Protection, WorkingMode::Enhancement] {
-            let case = poc_case(&p, &compiled, mode, false);
+            let case = poc_case(&p, &device, &compiled, mode, false);
             for chunk in [1, 7, 256] {
                 for (a, b) in batch_and_sink_pairs(chunk) {
                     assert_lockstep(&case, a, b)
                         .unwrap_or_else(|e| panic!("{}: {}", p.cve.id(), e));
+                }
+            }
+        }
+    }
+}
+
+/// Ports of the sparse device: set the function pointer, issue a
+/// command, call through the pointer. Each value set below is spread
+/// more than 4096 apart, so none of the compiled form's value lookups
+/// (port switch, command decision, function-pointer table) gets a dense
+/// table and every one takes the sorted, binary-search side, which no
+/// trained device model reaches.
+const SPARSE_PORTS: [u64; 3] = [0x10, 0x2010, 0x9010];
+/// Commands of the sparse device's command decision.
+const SPARSE_CMDS: [u64; 3] = [0x1, 0x5000, 0x7_0000];
+/// Registered function-pointer values; the last is legitimate but never
+/// called in training.
+const SPARSE_FNS: [u64; 3] = [0x100, 0x8_0000, 0x40_0000];
+
+/// A hand-built PMIO device over [`SPARSE_PORTS`], [`SPARSE_CMDS`] and
+/// [`SPARSE_FNS`].
+fn sparse_device() -> Device {
+    let mut cs = ControlStructure::new("Sparse");
+    let fnptr = cs.var("fnptr", Width::W64);
+    let count = cs.var("count", Width::W32);
+    let mut b = ProgramBuilder::new("sparse_pmio_write");
+    let entry = b.entry_block("port_dispatch");
+    let set_fn = b.block("set_fn");
+    let decide = b.cmd_decision_block("cmd_dispatch");
+    let cmd_blocks = [b.block("cmd_add"), b.block("cmd_double"), b.block("cmd_clear")];
+    let cmd_end = b.cmd_end_block("cmd_end");
+    let call = b.block("call_fn");
+    let fn_blocks = [b.block("fn_toggle"), b.block("fn_nop"), b.block("fn_untrained")];
+    let after_call = b.exit_block("after_call");
+    let done = b.exit_block("done");
+    for (&v, &f) in SPARSE_FNS.iter().zip(&fn_blocks) {
+        b.register_fn(v, f);
+    }
+    b.select(entry);
+    b.switch(Expr::IoAddr, SPARSE_PORTS.into_iter().zip([set_fn, decide, call]).collect(), done);
+    b.select(set_fn);
+    b.set_var(fnptr, Expr::IoData);
+    b.jump(done);
+    b.select(decide);
+    b.switch(Expr::IoData, SPARSE_CMDS.into_iter().zip(cmd_blocks).collect(), done);
+    let updates = [
+        Expr::bin(BinOp::Add, Expr::var(count), Expr::lit(1)),
+        Expr::bin(BinOp::Mul, Expr::var(count), Expr::lit(2)),
+        Expr::lit(0),
+    ];
+    for (blk, e) in cmd_blocks.into_iter().zip(updates) {
+        b.select(blk);
+        b.set_var(count, e);
+        b.jump(cmd_end);
+    }
+    b.select(cmd_end);
+    b.jump(done);
+    b.select(call);
+    b.indirect_call(fnptr, after_call);
+    for (i, blk) in fn_blocks.into_iter().enumerate() {
+        b.select(blk);
+        if i == 0 {
+            b.set_var(count, Expr::bin(BinOp::Xor, Expr::var(count), Expr::lit(1)));
+        }
+        b.ret();
+    }
+    let program = b.finish().expect("sparse device program");
+    Device::assemble(
+        "Sparse",
+        QemuVersion::Patched,
+        cs,
+        vec![(EntryPoint::PmioWrite, program)],
+        vec![(AddressSpace::Pmio, 0, 0x1_0000)],
+    )
+}
+
+fn sparse_write(port: usize, data: u64) -> TrainStep {
+    TrainStep::Io(IoRequest::write(AddressSpace::Pmio, SPARSE_PORTS[port], 8, data))
+}
+
+/// A benign stream: every trained command, and calls through the two
+/// trained function pointers, in a seed-dependent order.
+fn sparse_benign(seed: u64) -> Vec<TrainStep> {
+    let mut rng = FuzzRng::new(seed);
+    let mut steps = Vec::new();
+    for _ in 0..24 {
+        if rng.chance(1, 2) {
+            steps.push(sparse_write(1, SPARSE_CMDS[rng.index(SPARSE_CMDS.len())]));
+        } else {
+            steps.push(sparse_write(0, SPARSE_FNS[rng.index(2)]));
+            steps.push(sparse_write(2, 0));
+        }
+    }
+    steps
+}
+
+/// Boundary probes of every sparse lookup: below the minimum, in a
+/// hole, above the maximum and `u64::MAX` for commands and function
+/// pointers, plus the legitimate-but-untrained function pointer and
+/// ports beside the trained ones. Each probe follows a benign round.
+fn sparse_probes() -> Vec<TrainStep> {
+    let mut steps = Vec::new();
+    for data in [0, 2, 0x4fff, 0x5001, 0x7_0001, u64::MAX] {
+        steps.extend([sparse_write(1, SPARSE_CMDS[0]), sparse_write(1, data)]);
+    }
+    for data in [0xff, 0x101, 0x7_ffff, 0x8_0001, SPARSE_FNS[2], u64::MAX] {
+        steps.extend([sparse_write(0, data), sparse_write(2, 0), sparse_write(0, SPARSE_FNS[0])]);
+    }
+    for addr in [0xf, 0x11, 0x200f, 0x9011, 0xffff] {
+        steps.push(sparse_write(1, SPARSE_CMDS[1]));
+        steps.push(TrainStep::Io(IoRequest::write(AddressSpace::Pmio, addr, 8, 0)));
+    }
+    steps
+}
+
+/// The sorted side of every compiled value lookup: compiled ≡
+/// interpreted (normal and degraded) and batched ≡ sequential ≡
+/// observed on benign, mutated and boundary-probe streams.
+#[test]
+fn sparse_lookups_match_interpreted_and_sequential() {
+    let device = sparse_device();
+    let compiled = train_on(&device, &[sparse_benign(1), sparse_benign(2), sparse_benign(3)]);
+    let trained_cmds: Vec<u64> = compiled.cmd_keys().iter().map(|k| k.1).collect();
+    assert_eq!(trained_cmds, SPARSE_CMDS, "every sparse command is trained");
+    let fns: Vec<u64> = compiled.fn_entries(0).iter().map(|e| e.0).collect();
+    assert_eq!(fns, SPARSE_FNS, "every registered function pointer is legitimate");
+    // The probes reach every miss path of the three lookups.
+    let probes = sparse_probes();
+    let mode = WorkingMode::Protection;
+    let case = Case { device: &device, compiled: &compiled, steps: &probes, mode, degraded: true };
+    let raised: BTreeSet<String> = drive(&case, Side::COMPILED)
+        .0
+        .iter()
+        .flat_map(IoVerdict::violations)
+        .map(|v| format!("{v:?}").split([' ', '{']).next().unwrap_or_default().to_string())
+        .collect();
+    for kind in ["UnknownCommand", "UnknownSwitchTarget", "IndirectTarget", "UntracedPath"] {
+        assert!(raised.contains(kind), "no probe raised {kind}: {raised:?}");
+    }
+
+    let benign = sparse_benign(7);
+    let mutator = Mutator::new(device.regions.clone());
+    let mut streams = vec![benign.clone(), sparse_probes()];
+    streams.extend((0..6).map(|seed| mutator.mutate(&benign, None, &mut FuzzRng::new(seed))));
+    for steps in &streams {
+        for mode in [WorkingMode::Protection, WorkingMode::Enhancement] {
+            for degraded in [false, true] {
+                let case = Case { device: &device, compiled: &compiled, steps, mode, degraded };
+                assert_lockstep(&case, Side::COMPILED, Side::INTERPRETED)
+                    .unwrap_or_else(|e| panic!("{e}"));
+            }
+            let case = Case { device: &device, compiled: &compiled, steps, mode, degraded: false };
+            for chunk in [1, 7, 256] {
+                for (a, b) in batch_and_sink_pairs(chunk) {
+                    assert_lockstep(&case, a, b).unwrap_or_else(|e| panic!("{e}"));
                 }
             }
         }

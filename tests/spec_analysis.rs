@@ -14,6 +14,7 @@ use sedspec::spec::ExecutionSpecification;
 use sedspec_analysis::{analyze, AnalysisContext, AnalysisReport};
 use sedspec_dbl::ir::{BlockKind, Expr};
 use sedspec_repro::devices::{build_device, DeviceKind, QemuVersion};
+use sedspec_repro::fuzz::train::{trained_compiled, trained_spec};
 use sedspec_repro::vmm::VmContext;
 use sedspec_repro::workloads::generators::training_suite;
 
@@ -165,4 +166,22 @@ proptest! {
             report.render_human()
         );
     }
+}
+
+/// A stale compiled form with fewer blocks than the spec it is checked
+/// against (PCNet v2.4.0's compile: `pcnet_pmio_write` has 27 blocks
+/// there and 28 in the patched spec) is an SA401 finding, not an
+/// out-of-bounds panic in the compiled lookups.
+#[test]
+fn stale_compile_with_fewer_blocks_is_an_sa401_finding() {
+    let stale = trained_compiled(DeviceKind::Pcnet, QemuVersion::V2_4_0);
+    let spec = trained_spec(DeviceKind::Pcnet, QemuVersion::Patched);
+    let report = analyze(&spec, &AnalysisContext { device: None, compiled: Some(&stale) });
+    let mismatches: Vec<_> = report
+        .with_code("SA401")
+        .into_iter()
+        .filter(|d| d.message == "compiled form has 27 blocks, interpreted has 28")
+        .collect();
+    assert_eq!(mismatches.len(), 1, "got:\n{}", report.render_human());
+    assert_eq!(mismatches[0].handler.as_deref(), Some("pcnet_pmio_write"));
 }
