@@ -71,7 +71,8 @@ pub mod telemetry;
 
 pub use fault::{FaultAction, FaultKind, FaultPoint, FaultSite, FaultySink};
 pub use pool::{
-    BatchReport, EnforcementPool, PoolError, RecoveryConfig, TenantConfig, TenantId, Ticket,
+    BatchReport, EnforcementPool, PoolError, RecoveryConfig, TenantConfig, TenantId, TenantState,
+    Ticket,
 };
 pub use registry::{PublishJsonError, PublishRejected, SpecDigest, SpecKey, SpecRegistry};
 pub use telemetry::{AlertEvent, FleetReport, ShardTelemetry, TenantStatus};

@@ -19,7 +19,7 @@
 //!   supervisor on the next submit, with capped exponential backoff and
 //!   a bounded restart budget ([`RecoveryConfig`]); its tenants are
 //!   re-hosted from their stored configs with quarantine, degradation
-//!   and spent rollback budget carried over (sticky state), so a
+//!   and spent rollback budget carried over ([`TenantState`]), so a
 //!   compromised tenant cannot launder its record through a crash (its
 //!   `EnforceStats` restart from zero; a hub's counters do not);
 //! * submits are bounded: a shard with too many batches in flight
@@ -158,18 +158,37 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// Tenant state that must survive a worker crash. Kept pool-side and
-/// re-applied when a respawned worker re-hosts the tenant, so neither
-/// quarantine nor spent rollback budget can be laundered by killing
-/// the shard.
-#[derive(Debug, Clone, Copy, Default)]
-struct StickyState {
-    quarantined: bool,
-    degraded: bool,
-    rollbacks_used: u32,
+/// A tenant's protective state: what its record says about it, as
+/// opposed to what its devices are doing. It outlives the tenant's
+/// runtime, so neither a worker crash nor a daemon restart can launder
+/// a quarantine or hand back spent rollback budget.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TenantState {
+    /// Later batches are refused.
+    pub quarantined: bool,
+    /// Enforcement runs the warn-only fallback after a compiled-engine
+    /// fault.
+    pub degraded: bool,
+    /// Halts absorbed by rollback since hosting or the last release.
+    pub rollbacks_used: u32,
 }
 
-type StickyMap = Mutex<HashMap<u64, StickyState>>;
+/// The pool's tenant-state map, shared by the pool and its workers: the
+/// only live copy of every [`TenantState`]. A respawned worker re-hosts
+/// its tenants from their boot configs and this map.
+#[derive(Default)]
+struct StateMap(Mutex<HashMap<TenantId, TenantState>>);
+
+impl StateMap {
+    fn get(&self, tenant: TenantId) -> TenantState {
+        self.0.lock().get(&tenant).copied().unwrap_or_default()
+    }
+
+    fn update<R>(&self, tenant: TenantId, f: impl FnOnce(&mut TenantState) -> R) -> R {
+        f(self.0.lock().entry(tenant).or_default())
+    }
+}
+
 type FaultSeam = RwLock<Option<Arc<dyn FaultPoint>>>;
 
 /// Handle for one submitted batch; redeem with [`EnforcementPool::wait`].
@@ -268,20 +287,17 @@ struct TenantRuntime {
     mode: WorkingMode,
     snapshot_depth: usize,
     rollback_budget: u32,
-    rollbacks_used: u32,
     ctx: VmContext,
     slots: Vec<DeviceSlot>,
     /// Stats of enforcers retired by hot-swaps.
     retired: EnforceStats,
     flagged_rounds: u64,
     worst_alert: Option<AlertLevel>,
-    quarantined: bool,
-    /// Warn-only fallback engaged after a compiled-engine fault.
-    degraded: bool,
     /// Hub plus the owning shard's scope, for tenant lifecycle events.
     obs: Option<(Arc<ObsHub>, ScopeId)>,
-    /// Pool-side crash-surviving state, shared with the supervisor.
-    sticky: Arc<StickyMap>,
+    /// The pool's state map, which holds this tenant's protective
+    /// state.
+    states: Arc<StateMap>,
 }
 
 impl TenantRuntime {
@@ -291,7 +307,7 @@ impl TenantRuntime {
         shard: usize,
         obs: Option<&(Arc<ObsHub>, ScopeId)>,
         faults: Option<&Arc<dyn FaultPoint>>,
-        sticky: &Arc<StickyMap>,
+        states: &Arc<StateMap>,
     ) -> Result<Self, PoolError> {
         let ctx = VmContext::new(cfg.mem_size, cfg.disk_sectors);
         // Probe for region overlaps the way Machine::attach would.
@@ -338,29 +354,20 @@ impl TenantRuntime {
             mode: cfg.mode,
             snapshot_depth: cfg.snapshot_depth,
             rollback_budget: cfg.rollback_budget,
-            rollbacks_used: 0,
             ctx,
             slots,
             retired: EnforceStats::default(),
             flagged_rounds: 0,
             worst_alert: None,
-            quarantined: false,
-            degraded: false,
             obs: obs.cloned(),
-            sticky: Arc::clone(sticky),
+            states: Arc::clone(states),
         };
-        // Re-apply crash-surviving state: a respawned worker re-hosts
-        // its tenants from boot configs, but quarantine, degradation
-        // and spent rollback budget must carry over.
-        let carried = runtime.sticky.lock().get(&cfg.tenant.0).copied();
-        if let Some(state) = carried {
-            runtime.quarantined = state.quarantined;
-            runtime.rollbacks_used = state.rollbacks_used;
-            if state.degraded {
-                runtime.degraded = true;
-                for slot in &mut runtime.slots {
-                    slot.enforcer.degrade();
-                }
+        // A tenant re-hosted after a respawn or a restart keeps its
+        // degradation; quarantine and spent budget are read from the
+        // map where they are used.
+        if runtime.states.get(cfg.tenant).degraded {
+            for slot in &mut runtime.slots {
+                slot.enforcer.degrade();
             }
         }
         // Baseline snapshot: a tenant attacked in its very first batch
@@ -392,7 +399,7 @@ impl TenantRuntime {
                 self.retired.merge(&old.stats);
                 slot.key = key;
                 slot.epoch = epoch;
-                if self.degraded {
+                if self.states.get(self.id).degraded {
                     slot.enforcer.degrade();
                 }
                 if let Some(sink) = &slot.sink {
@@ -421,14 +428,12 @@ impl TenantRuntime {
     /// to a compiled-engine fault. Emits a `DegradedMode` alert and the
     /// obs events feeding `sedspec_degraded_tenants`.
     fn degrade(&mut self, shard: usize, alerts: &Sender<AlertEvent>, alert_seq: &AtomicU64) {
-        if self.degraded {
+        if self.states.update(self.id, |s| std::mem::replace(&mut s.degraded, true)) {
             return;
         }
-        self.degraded = true;
         for slot in &mut self.slots {
             slot.enforcer.degrade();
         }
-        self.sticky.lock().entry(self.id.0).or_default().degraded = true;
         if let Some((hub, scope)) = &self.obs {
             hub.record(
                 *scope,
@@ -461,7 +466,8 @@ impl TenantRuntime {
         alert_seq: &AtomicU64,
         faults: Option<&Arc<dyn FaultPoint>>,
     ) -> BatchReport {
-        if self.quarantined {
+        let state = self.states.get(self.id);
+        if state.quarantined {
             return BatchReport {
                 tenant: self.id,
                 rounds: 0,
@@ -469,7 +475,7 @@ impl TenantRuntime {
                 rollbacks: 0,
                 quarantined: true,
                 rejected: true,
-                degraded: self.degraded,
+                degraded: state.degraded,
                 stats: EnforceStats::default(),
                 alert: None,
             };
@@ -566,16 +572,13 @@ impl TenantRuntime {
                     }
                 }
                 if slot.enforcer.is_halted() {
-                    if self.rollbacks_used < self.rollback_budget
+                    if self.states.get(self.id).rollbacks_used < self.rollback_budget
                         && slot.ring.rollback_latest(&mut slot.enforcer)
                     {
-                        self.rollbacks_used += 1;
+                        self.states.update(self.id, |s| s.rollbacks_used += 1);
                         rollbacks += 1;
-                        self.sticky.lock().entry(self.id.0).or_default().rollbacks_used =
-                            self.rollbacks_used;
                     } else {
-                        self.quarantined = true;
-                        self.sticky.lock().entry(self.id.0).or_default().quarantined = true;
+                        self.states.update(self.id, |s| s.quarantined = true);
                         if let Some((hub, scope)) = &self.obs {
                             hub.record(
                                 *scope,
@@ -588,7 +591,8 @@ impl TenantRuntime {
             }
         }
 
-        if !self.quarantined {
+        let state = self.states.get(self.id);
+        if !state.quarantined {
             for slot in &mut self.slots {
                 slot.ring.capture(&slot.enforcer);
             }
@@ -602,20 +606,21 @@ impl TenantRuntime {
             rounds: after.rounds - before.rounds,
             flagged,
             rollbacks,
-            quarantined: self.quarantined,
+            quarantined: state.quarantined,
             rejected: false,
-            degraded: self.degraded,
+            degraded: state.degraded,
             stats: after.since(&before),
             alert: worst,
         }
     }
 
     fn status(&self) -> TenantStatus {
+        let state = self.states.get(self.id);
         TenantStatus {
             tenant: self.id,
-            quarantined: self.quarantined,
-            degraded: self.degraded,
-            rollbacks: self.rollbacks_used,
+            quarantined: state.quarantined,
+            degraded: state.degraded,
+            rollbacks: state.rollbacks_used,
             flagged_rounds: self.flagged_rounds,
             worst_alert: self.worst_alert,
             stats: self.total_stats(),
@@ -668,7 +673,7 @@ struct ShardCtx {
     alert_seq: Arc<AtomicU64>,
     obs: Option<Arc<ObsHub>>,
     seam: Arc<FaultSeam>,
-    sticky: Arc<StickyMap>,
+    states: Arc<StateMap>,
 }
 
 // Thread entry point: owns its channel endpoints for the worker's lifetime.
@@ -697,7 +702,7 @@ fn shard_main(shard: usize, rx: Receiver<ShardMsg>, ctx: ShardCtx, inflight: Arc
                         shard,
                         obs.as_ref(),
                         faults.as_ref(),
-                        &ctx.sticky,
+                        &ctx.states,
                     )
                     .map(|rt| {
                         if let Some((hub, scope)) = &obs {
@@ -757,35 +762,27 @@ fn shard_main(shard: usize, rx: Receiver<ShardMsg>, ctx: ShardCtx, inflight: Arc
                 inflight.fetch_sub(1, Ordering::AcqRel);
             }
             ShardMsg::SetQuarantine { tenant, on, reply } => {
-                let result = match tenants.get_mut(&tenant) {
-                    Some(rt) => {
-                        let was = rt.quarantined;
-                        rt.quarantined = on;
-                        {
-                            let mut sticky = rt.sticky.lock();
-                            let entry = sticky.entry(tenant.0).or_default();
-                            entry.quarantined = on;
-                            if !on {
-                                // A released tenant gets its rollback
-                                // budget back; re-arming it half-spent
-                                // would quarantine again on first halt.
-                                entry.rollbacks_used = 0;
-                            }
-                        }
+                let result = if tenants.contains_key(&tenant) {
+                    let was = ctx.states.update(tenant, |s| {
                         if !on {
-                            rt.rollbacks_used = 0;
+                            // A released tenant gets its rollback budget
+                            // back; re-arming it half-spent would
+                            // quarantine again on first halt.
+                            s.rollbacks_used = 0;
                         }
-                        if on && !was {
-                            if let Some((hub, scope)) = &obs {
-                                hub.record(
-                                    *scope,
-                                    TraceEventKind::TenantQuarantined { tenant: tenant.0 },
-                                );
-                            }
+                        std::mem::replace(&mut s.quarantined, on)
+                    });
+                    if on && !was {
+                        if let Some((hub, scope)) = &obs {
+                            hub.record(
+                                *scope,
+                                TraceEventKind::TenantQuarantined { tenant: tenant.0 },
+                            );
                         }
-                        Ok(was)
                     }
-                    None => Err(PoolError::UnknownTenant(tenant)),
+                    Ok(was)
+                } else {
+                    Err(PoolError::UnknownTenant(tenant))
                 };
                 let _ = reply.send(result);
             }
@@ -823,7 +820,7 @@ pub struct EnforcementPool {
     /// Supervisor scope for restart events (registered lazily).
     obs_scope: Option<ScopeId>,
     seam: Arc<FaultSeam>,
-    sticky: Arc<StickyMap>,
+    states: Arc<StateMap>,
     /// Boot configs of every hosted tenant, for re-hosting after a
     /// worker respawn.
     configs: Mutex<HashMap<TenantId, TenantConfig>>,
@@ -857,7 +854,7 @@ impl EnforcementPool {
             alert_seq: Arc::new(AtomicU64::new(0)),
             obs: obs.cloned(),
             seam: Arc::new(RwLock::new(None)),
-            sticky: Arc::new(Mutex::new(HashMap::new())),
+            states: Arc::default(),
         };
         let handles = (0..shards).map(|i| spawn_worker(i, &ctx)).collect();
         let obs_scope = obs.map(|hub| hub.register_scope(ScopeInfo::device("supervisor")));
@@ -870,7 +867,7 @@ impl EnforcementPool {
             obs: ctx.obs.clone(),
             obs_scope,
             seam: Arc::clone(&ctx.seam),
-            sticky: Arc::clone(&ctx.sticky),
+            states: Arc::clone(&ctx.states),
             configs: Mutex::new(HashMap::new()),
             recovery: RecoveryConfig::default(),
             restarts: vec![0; shards],
@@ -934,14 +931,15 @@ impl EnforcementPool {
             alert_seq: Arc::clone(&self.alert_seq),
             obs: self.obs.clone(),
             seam: Arc::clone(&self.seam),
-            sticky: Arc::clone(&self.sticky),
+            states: Arc::clone(&self.states),
         }
     }
 
     /// Supervision: if `shard`'s worker is dead, reap it, back off
     /// (capped exponential in the number of prior restarts), respawn
-    /// it, and re-host its tenants from their boot configs — sticky
-    /// state (quarantine, degradation, spent rollbacks) carries over.
+    /// it, and re-host its tenants from their boot configs — their
+    /// [`TenantState`] (quarantine, degradation, spent rollbacks)
+    /// carries over.
     ///
     /// # Errors
     ///
@@ -1174,20 +1172,21 @@ impl EnforcementPool {
         reply_rx.recv().map_err(|_| PoolError::ShardDown(shard))?
     }
 
-    /// Seeds a tenant's crash-surviving sticky state *before* the
-    /// tenant is hosted, so [`EnforcementPool::add_tenant`] builds it
-    /// already quarantined / degraded / part-spent. This is how the
-    /// `sedspecd` daemon warm-loads tenant state from its durable
-    /// store: exactly the carry-over path a worker respawn uses, so a
-    /// restart cannot launder quarantine any more than a crash can.
-    pub fn restore_tenant_state(
-        &self,
-        tenant: TenantId,
-        quarantined: bool,
-        degraded: bool,
-        rollbacks_used: u32,
-    ) {
-        self.sticky.lock().insert(tenant.0, StickyState { quarantined, degraded, rollbacks_used });
+    /// Seeds a tenant's protective state *before* the tenant is
+    /// hosted, so [`EnforcementPool::add_tenant`] builds it already
+    /// quarantined / degraded / part-spent. This is how the `sedspecd`
+    /// daemon warm-loads tenant state from its durable store: exactly
+    /// the carry-over path a worker respawn uses, so a restart cannot
+    /// launder quarantine any more than a crash can.
+    pub fn restore_tenant_state(&self, tenant: TenantId, state: TenantState) {
+        self.states.update(tenant, |s| *s = state);
+    }
+
+    /// A tenant's protective state as it stands after every batch and
+    /// operator command already answered; the default for a tenant
+    /// never hosted.
+    pub fn tenant_state(&self, tenant: TenantId) -> TenantState {
+        self.states.get(tenant)
     }
 
     /// The pool-wide alert sequence high-water mark: the `seq` the most

@@ -35,18 +35,22 @@ fn benign_batch(kind: DeviceKind, n: usize) -> Vec<sedspec::collect::TrainStep> 
 #[derive(Debug)]
 struct PanicOn {
     tenant: u64,
-    at: u64,
+    at: Vec<u64>,
     every: bool,
     seen: AtomicU64,
 }
 
 impl PanicOn {
     fn nth(tenant: u64, at: u64) -> Self {
-        PanicOn { tenant, at, every: false, seen: AtomicU64::new(0) }
+        Self::at(tenant, &[at])
+    }
+
+    fn at(tenant: u64, at: &[u64]) -> Self {
+        PanicOn { tenant, at: at.to_vec(), every: false, seen: AtomicU64::new(0) }
     }
 
     fn every(tenant: u64) -> Self {
-        PanicOn { tenant, at: 0, every: true, seen: AtomicU64::new(0) }
+        PanicOn { tenant, at: Vec::new(), every: true, seen: AtomicU64::new(0) }
     }
 }
 
@@ -54,7 +58,7 @@ impl FaultPoint for PanicOn {
     fn check(&self, site: &FaultSite) -> FaultAction {
         if site.kind == FaultKind::WorkerPanic && site.tenant == Some(self.tenant) {
             let n = self.seen.fetch_add(1, Ordering::Relaxed);
-            if self.every || n == self.at {
+            if self.every || self.at.contains(&n) {
                 return FaultAction::Panic;
             }
         }
@@ -141,9 +145,10 @@ fn sticky_quarantine_survives_a_worker_restart() {
     let registry = Arc::new(SpecRegistry::new());
     publish_channel(&registry, DeviceKind::Fdc, QemuVersion::V2_3_0);
     // Tenant 1's second submit panics the worker *after* tenant 0 has
-    // been quarantined, wiping the shard's in-memory state.
+    // been quarantined, wiping the shard's in-memory state; its fourth
+    // panics it again after tenant 0 has been released.
     let mut pool = EnforcementPool::new(1, Arc::clone(&registry))
-        .with_faults(Arc::new(PanicOn::nth(1, 1)))
+        .with_faults(Arc::new(PanicOn::at(1, &[1, 3])))
         .with_recovery(RecoveryConfig {
             backoff_base_ms: 0,
             backoff_cap_ms: 0,
@@ -180,6 +185,24 @@ fn sticky_quarantine_survives_a_worker_restart() {
         pool.run_batch_reliable(TenantId(0), &benign_batch(DeviceKind::Fdc, 0)).unwrap();
     assert!(report.rejected && report.quarantined, "sticky quarantine survives the restart");
     assert_eq!(pool.report().quarantined_count(), 1);
+
+    // A release is as sticky as the quarantine it lifts: after the next
+    // crash tenant 0 is re-hosted released, with its budget restored.
+    assert!(pool.set_quarantine(TenantId(0), false).unwrap(), "tenant 0 was quarantined");
+    let (report, attempts) =
+        pool.run_batch_reliable(TenantId(1), &benign_batch(DeviceKind::Fdc, 2)).unwrap();
+    assert_eq!(attempts, 1);
+    assert!(!report.rejected);
+    assert_eq!(pool.restart_counts(), &[2]);
+    let status = |pool: &EnforcementPool| {
+        pool.report().tenants().into_iter().find(|s| s.tenant == TenantId(0)).cloned().unwrap()
+    };
+    let released = status(&pool);
+    assert!(!released.quarantined && released.rollbacks == 0, "release lost: {released:?}");
+    let (report, _) =
+        pool.run_batch_reliable(TenantId(0), &benign_batch(DeviceKind::Fdc, 0)).unwrap();
+    assert!(!report.rejected && !report.quarantined, "released tenant refused: {report:?}");
+    assert_eq!(status(&pool).rollbacks, 0);
 }
 
 #[test]

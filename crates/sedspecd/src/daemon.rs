@@ -14,15 +14,16 @@
 //!    reproduce and exported JSON is byte-identical;
 //! 2. the alert-sequence high-water mark is restored, so
 //!    [`AlertEvent::seq`] stays monotonic across restarts;
-//! 3. each tenant's last journaled state seeds the pool's sticky map
-//!    *before* the tenant is re-hosted — the same carry-over path a
-//!    worker respawn uses, so a daemon restart cannot launder
-//!    quarantine any more than a shard crash can.
+//! 3. each tenant's last journaled state, as the store holds it, seeds
+//!    the pool's state map *before* the tenant is re-hosted — the same
+//!    carry-over path a worker respawn uses, so a daemon restart cannot
+//!    launder quarantine any more than a shard crash can.
 //!
-//! Organic state transitions (a shard quarantining or degrading a
-//! tenant mid-batch) are mirrored: after every served batch the daemon
-//! diffs the report against its journal mirror and appends
-//! `StateChange` records for whatever moved.
+//! A tenant's protective state has one live owner, the pool
+//! ([`EnforcementPool::tenant_state`]), and one journaled owner, the
+//! store. After every served batch and operator quarantine or release
+//! the daemon compares the two and appends a `StateChange` when they
+//! differ; a failed append is retried by the next comparison.
 //!
 //! ## Concurrency model
 //!
@@ -40,7 +41,7 @@
 //! and forensic summaries to the watch stream, and drains the pool's
 //! alert stream so alerts reach watchers even between requests.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
@@ -159,27 +160,16 @@ impl From<StoreError> for DaemonError {
     }
 }
 
-/// A tenant's last journaled protective state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct MirrorState {
-    quarantined: bool,
-    degraded: bool,
-    rollbacks: u32,
-}
-
 /// Mutable daemon state behind one lock (requests are serialized — the
 /// pool itself fans work out to its shard threads).
 struct Core {
     pool: EnforcementPool,
     store: DurableStore,
     limiter: RateLimiter,
-    /// Last journaled state per tenant; diffs become `StateChange`s.
-    mirror: HashMap<u64, MirrorState>,
     recent_alerts: VecDeque<AlertEvent>,
     /// Highest alert seq already journaled as an `AlertMark`.
     alert_mark: u64,
     appends_since_compact: u64,
-    requests_served: u64,
 }
 
 /// The enforcement-as-a-service daemon.
@@ -198,6 +188,8 @@ pub struct Daemon {
     last_window: Mutex<Option<WindowReport>>,
     /// Highest forensic-record seq already summarized to the stream.
     forensic_seen: AtomicU64,
+    /// Requests served, watch subscriptions included.
+    requests_served: AtomicU64,
 }
 
 impl Daemon {
@@ -227,7 +219,6 @@ impl Daemon {
 
         // Pass 1: re-publish every journaled revision, in order.
         let mut hosted: Vec<sedspec_fleet::pool::TenantConfig> = Vec::new();
-        let mut states: HashMap<u64, MirrorState> = HashMap::new();
         for record in &loaded.records {
             match record {
                 WalRecord::Publish { device, version, digest, epoch, spec_json } => {
@@ -253,41 +244,21 @@ impl Daemon {
                     }
                 }
                 WalRecord::TenantHosted { config } => hosted.push(config.clone()),
-                WalRecord::StateChange { tenant, quarantined, degraded, rollbacks_used } => {
-                    states.insert(
-                        *tenant,
-                        MirrorState {
-                            quarantined: *quarantined,
-                            degraded: *degraded,
-                            rollbacks: *rollbacks_used,
-                        },
-                    );
-                }
-                WalRecord::AlertMark { .. } => {}
+                WalRecord::StateChange { .. } | WalRecord::AlertMark { .. } => {}
             }
         }
 
         // Pass 2: build the pool on the restored registry, seed the
-        // alert counter, then re-host tenants with their sticky state
-        // already in place.
+        // alert counter, then re-host tenants with their journaled
+        // state already in place.
         let pool = EnforcementPool::with_obs(config.shards.max(1), Arc::clone(&registry), &hub);
         pool.set_alert_seq(loaded.alert_seq);
-        let mut mirror = HashMap::new();
         for cfg in hosted {
-            let tenant = cfg.tenant.0;
-            let state = states.get(&tenant).copied().unwrap_or_default();
-            pool.restore_tenant_state(
-                cfg.tenant,
-                state.quarantined,
-                state.degraded,
-                state.rollbacks,
-            );
+            let tenant = cfg.tenant;
+            pool.restore_tenant_state(tenant, store.tenant_state(tenant.0));
             match pool.add_tenant(cfg) {
-                Ok(()) => {
-                    warm.tenants += 1;
-                    mirror.insert(tenant, state);
-                }
-                Err(e) => warm.skipped.push(format!("tenant-{tenant}: {e}")),
+                Ok(()) => warm.tenants += 1,
+                Err(e) => warm.skipped.push(format!("{tenant} could not be re-hosted: {e}")),
             }
         }
 
@@ -309,11 +280,9 @@ impl Daemon {
                 pool,
                 store,
                 limiter,
-                mirror,
                 recent_alerts: VecDeque::new(),
                 alert_mark,
                 appends_since_compact: 0,
-                requests_served: 0,
             }),
             hub,
             scope,
@@ -323,6 +292,7 @@ impl Daemon {
             watch: WatchHub::new(),
             last_window: Mutex::new(None),
             forensic_seen: AtomicU64::new(0),
+            requests_served: AtomicU64::new(0),
         })
     }
 
@@ -426,34 +396,19 @@ impl Daemon {
         }
     }
 
-    /// Diffs a tenant's reported state against the journal mirror and
-    /// appends a `StateChange` when anything protective moved.
+    /// Appends a `StateChange` when the pool's live state for `tenant`
+    /// differs from the store's last journaled one.
     fn sync_tenant_state(
         &self,
         core: &mut Core,
         op: &'static str,
         tenant: u64,
-        quarantined: bool,
-        degraded: bool,
-        rollbacks_delta: u32,
-    ) {
-        let prev = core.mirror.get(&tenant).copied().unwrap_or_default();
-        let next = MirrorState {
-            quarantined,
-            degraded,
-            rollbacks: prev.rollbacks.saturating_add(rollbacks_delta),
-        };
-        if next != prev {
-            let record = WalRecord::StateChange {
-                tenant,
-                quarantined: next.quarantined,
-                degraded: next.degraded,
-                rollbacks_used: next.rollbacks,
-            };
-            if self.journal(core, op, record).is_ok() {
-                core.mirror.insert(tenant, next);
-            }
+    ) -> Result<(), StoreError> {
+        let live = core.pool.tenant_state(TenantId(tenant));
+        if live == core.store.tenant_state(tenant) {
+            return Ok(());
         }
+        self.journal(core, op, WalRecord::state_change(tenant, live))
     }
 
     /// Records one per-request stage latency as
@@ -510,7 +465,7 @@ impl Daemon {
         let error = matches!(resp.body, ResponseBody::Error { .. });
         self.hub
             .record(self.scope, TraceEventKind::RequestServed { kind: body.kind().into(), error });
-        self.core.lock().requests_served += 1;
+        self.requests_served.fetch_add(1, Ordering::Relaxed);
         resp
     }
 
@@ -563,10 +518,7 @@ impl Daemon {
                         let tenant = config.tenant.0;
                         let record = WalRecord::TenantHosted { config: config.clone() };
                         match self.journal(&mut core, "AddTenant", record) {
-                            Ok(()) => {
-                                core.mirror.entry(tenant).or_default();
-                                ok(id, ResponseBody::TenantAdded { tenant })
-                            }
+                            Ok(()) => ok(id, ResponseBody::TenantAdded { tenant }),
                             Err(e) => err(id, ErrCode::Store, e.to_string()),
                         }
                     }
@@ -594,14 +546,9 @@ impl Daemon {
                 match core.pool.run_batch_reliable(TenantId(*tenant), steps) {
                     Ok((report, _retries)) => {
                         self.sync_alerts(&mut core, "SubmitBatch");
-                        self.sync_tenant_state(
-                            &mut core,
-                            "SubmitBatch",
-                            *tenant,
-                            report.quarantined,
-                            report.degraded,
-                            report.rollbacks,
-                        );
+                        // A failed append is retried by the next sync;
+                        // the batch itself was served.
+                        let _ = self.sync_tenant_state(&mut core, "SubmitBatch", *tenant);
                         ok(id, ResponseBody::Batch { report })
                     }
                     Err(e) => err(id, ErrCode::Pool, e.to_string()),
@@ -646,34 +593,16 @@ impl Daemon {
                 let mut core = self.core.lock();
                 match core.pool.set_quarantine(TenantId(*tenant), on) {
                     Ok(was) => {
-                        let degraded = core.mirror.get(tenant).is_some_and(|m| m.degraded);
-                        let rollbacks = if on {
-                            core.mirror.get(tenant).map_or(0, |m| m.rollbacks)
-                        } else {
-                            0 // release restores the budget
-                        };
-                        let record = WalRecord::StateChange {
-                            tenant: *tenant,
-                            quarantined: on,
-                            degraded,
-                            rollbacks_used: rollbacks,
-                        };
                         let op = if on { "Quarantine" } else { "Release" };
-                        match self.journal(&mut core, op, record) {
-                            Ok(()) => {
-                                core.mirror.insert(
-                                    *tenant,
-                                    MirrorState { quarantined: on, degraded, rollbacks },
-                                );
-                                ok(
-                                    id,
-                                    ResponseBody::QuarantineSet {
-                                        tenant: *tenant,
-                                        quarantined: on,
-                                        was_quarantined: was,
-                                    },
-                                )
-                            }
+                        match self.sync_tenant_state(&mut core, op, *tenant) {
+                            Ok(()) => ok(
+                                id,
+                                ResponseBody::QuarantineSet {
+                                    tenant: *tenant,
+                                    quarantined: on,
+                                    was_quarantined: was,
+                                },
+                            ),
                             Err(e) => err(id, ErrCode::Store, e.to_string()),
                         }
                     }
@@ -727,7 +656,7 @@ impl Daemon {
             wal_records: core.store.records_appended(),
             wal_bytes: core.store.bytes_appended(),
             compactions: core.store.compactions(),
-            requests: core.requests_served,
+            requests: self.requests_served.load(Ordering::Relaxed),
             trace_dropped: self.hub.dropped_events(),
             watchers: self.watch.watchers(),
         }
@@ -878,7 +807,7 @@ impl Daemon {
             self.scope,
             TraceEventKind::RequestServed { kind: "Watch".into(), error: false },
         );
-        self.core.lock().requests_served += 1;
+        self.requests_served.fetch_add(1, Ordering::Relaxed);
         self.watch.watcher_attached();
         while !self.shutting_down() {
             for frame in self.watch.collect_after(cursor, Duration::from_millis(100)) {

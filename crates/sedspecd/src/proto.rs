@@ -37,6 +37,10 @@ pub const PROTOCOL_VERSION: u32 = 2;
 /// allocating the universe.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
+/// The most a frame read allocates before payload bytes arrive; larger
+/// payloads grow the buffer as they are read.
+const FRAME_CHUNK: usize = 64 * 1024;
+
 /// One client request frame.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Request {
@@ -492,8 +496,16 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtoError> {
     if len > MAX_FRAME_LEN {
         return Err(ProtoError::Oversized(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // The prefix is only a claim: size the buffer by the bytes that
+    // actually arrive, doubling from one chunk, so a peer that sends a
+    // large prefix and stops costs a chunk, not the whole claim.
+    let len = len as usize;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let filled = payload.len();
+        payload.resize(len.min(if filled == 0 { FRAME_CHUNK } else { filled * 2 }), 0);
+        r.read_exact(&mut payload[filled..])?;
+    }
     Ok(payload)
 }
 

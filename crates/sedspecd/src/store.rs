@@ -4,16 +4,17 @@
 //!
 //! Layering: [`crate::wal`] owns the byte format; this module owns the
 //! directory layout, the in-memory journal mirror that compaction folds
-//! from, and the *semantic* folding rules — full publish history is
-//! preserved (its length per channel *is* the channel epoch), while
-//! tenant state churn collapses to one record per tenant and alert
-//! marks collapse into the snapshot header.
+//! from, each tenant's last journaled state, and the *semantic* folding
+//! rules — full publish history is preserved (its length per channel
+//! *is* the channel epoch), while tenant state churn collapses to one
+//! record per tenant and alert marks collapse into the snapshot header.
 
 use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use sedspec_fleet::pool::TenantState;
 use serde::{Deserialize, Serialize};
 
 pub use crate::wal::WalRecord;
@@ -75,6 +76,8 @@ pub struct DurableStore {
     wal: Wal,
     /// Every live record (snapshot + WAL + appends since), in order.
     journal: Vec<WalRecord>,
+    /// Each tenant's last journaled state: its last `StateChange` wins.
+    states: HashMap<u64, TenantState>,
     records_appended: u64,
     bytes_appended: u64,
     compactions: u64,
@@ -96,16 +99,19 @@ impl DurableStore {
         let mut alert_seq = snapshot.as_ref().map_or(0, |s| s.alert_seq);
         let mut records = snapshot.map_or_else(Vec::new, |s| s.records);
         records.extend(wal_records);
+        let mut states = HashMap::new();
         for record in &records {
             if let WalRecord::AlertMark { seq } = record {
                 alert_seq = alert_seq.max(*seq);
             }
+            states.extend(record.tenant_state());
         }
         let wal = Wal::open(&dir.join(WAL_FILE))?;
         let store = DurableStore {
             dir: dir.to_path_buf(),
             wal,
             journal: records.clone(),
+            states,
             records_appended: 0,
             bytes_appended: 0,
             compactions: 0,
@@ -121,6 +127,7 @@ impl DurableStore {
     /// WAL append failures; on error the record is not committed.
     pub fn record(&mut self, record: WalRecord) -> Result<u64, StoreError> {
         let bytes = self.wal.append(&record)?;
+        self.states.extend(record.tenant_state());
         self.journal.push(record);
         self.records_appended += 1;
         self.bytes_appended += bytes;
@@ -145,6 +152,12 @@ impl DurableStore {
         self.journal = folded;
         self.compactions += 1;
         Ok(count)
+    }
+
+    /// A tenant's last journaled state; the default when none was
+    /// journaled.
+    pub fn tenant_state(&self, tenant: u64) -> TenantState {
+        self.states.get(&tenant).copied().unwrap_or_default()
     }
 
     /// Live records (snapshot + appends since).
@@ -303,12 +316,16 @@ mod tests {
         store.record(state(1, false)).unwrap();
         store.record(state(1, true)).unwrap();
         store.record(WalRecord::AlertMark { seq: 5 }).unwrap();
+        let quarantined = TenantState { quarantined: true, ..TenantState::default() };
+        assert_eq!(store.tenant_state(1), quarantined);
         let folded = store.compact(5).unwrap();
         // Hosting + the final state only.
         assert_eq!(folded, 2);
         drop(store);
 
-        let (_, loaded) = DurableStore::open(&dir).unwrap();
+        let (store, loaded) = DurableStore::open(&dir).unwrap();
+        assert_eq!(store.tenant_state(1), quarantined, "the last state survives compaction");
+        assert_eq!(store.tenant_state(2), TenantState::default());
         assert!(loaded.snapshot_loaded);
         assert_eq!(loaded.alert_seq, 5);
         assert_eq!(

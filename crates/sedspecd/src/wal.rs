@@ -27,7 +27,7 @@ use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use sedspec_devices::{DeviceKind, QemuVersion};
-use sedspec_fleet::pool::TenantConfig;
+use sedspec_fleet::pool::{TenantConfig, TenantState};
 use serde::{Deserialize, Serialize};
 
 /// Upper bound on one WAL frame payload. A full specification revision
@@ -80,9 +80,11 @@ pub enum WalRecord {
         config: TenantConfig,
     },
     /// A tenant's protective state changed — organically (a shard
-    /// quarantined or degraded it) or by operator command. Replay seeds
-    /// the pool's sticky state before re-hosting, so neither a crash
-    /// nor a restart launders quarantine.
+    /// rolled it back, quarantined or degraded it) or by operator
+    /// command. Appended when the pool's live state differs from the
+    /// last one journaled. Replay seeds the pool's state map before
+    /// re-hosting, so neither a crash nor a restart launders
+    /// quarantine.
     StateChange {
         /// The tenant.
         tenant: u64,
@@ -111,6 +113,23 @@ impl WalRecord {
             WalRecord::TenantHosted { .. } => "TenantHosted",
             WalRecord::StateChange { .. } => "StateChange",
             WalRecord::AlertMark { .. } => "AlertMark",
+        }
+    }
+
+    /// The `StateChange` record journaling `state` for `tenant`.
+    pub fn state_change(tenant: u64, state: TenantState) -> Self {
+        let TenantState { quarantined, degraded, rollbacks_used } = state;
+        WalRecord::StateChange { tenant, quarantined, degraded, rollbacks_used }
+    }
+
+    /// The tenant and state a `StateChange` journals; `None` for every
+    /// other kind.
+    pub fn tenant_state(&self) -> Option<(u64, TenantState)> {
+        match *self {
+            WalRecord::StateChange { tenant, quarantined, degraded, rollbacks_used } => {
+                Some((tenant, TenantState { quarantined, degraded, rollbacks_used }))
+            }
+            _ => None,
         }
     }
 }

@@ -14,12 +14,14 @@ use sedspec::collect::TrainStep;
 use sedspec::pipeline::{train, TrainingConfig};
 use sedspec_devices::{build_device, DeviceKind, QemuVersion};
 use sedspec_fleet::pool::TenantConfig;
+use sedspec_fleet::TenantStatus;
 use sedspec_obs::ObsHub;
 use sedspec_vmm::{AddressSpace, IoRequest, VmContext};
 use sedspecd::proto::{read_response, write_frame};
+use sedspecd::wal::replay;
 use sedspecd::{
-    AuthConfig, ClientError, CtlClient, Daemon, DaemonConfig, ErrCode, RateLimitConfig, Request,
-    RequestBody, ResponseBody, PROTOCOL_VERSION,
+    AuthConfig, ClientError, CtlClient, Daemon, DaemonConfig, DurableStore, ErrCode,
+    RateLimitConfig, Request, RequestBody, ResponseBody, WalRecord, PROTOCOL_VERSION,
 };
 
 fn unique(tag: &str) -> String {
@@ -152,6 +154,78 @@ fn lifecycle_round_trip_and_graceful_restart_over_uds() {
         }
         other => panic!("unexpected response: {other:?}"),
     }
+}
+
+/// The operator path end to end: an organic quarantine, an operator
+/// quarantine and a release are each journaled once, and a restart on
+/// the same store brings both tenants back in the state they left in.
+/// Nothing is submitted after the release: a released tenant's next
+/// batch is not part of this contract.
+#[test]
+fn operator_quarantine_and_release_survive_a_restart() {
+    let store = fresh_store("operator");
+    let (daemon, join, socket) = start(DaemonConfig::new(&store), "operator");
+    let mut ctl = CtlClient::connect_unix(&socket).unwrap();
+    ctl.publish_spec(DeviceKind::Fdc, QemuVersion::Patched, spec_json()).unwrap();
+    ctl.add_tenant(fdc_tenant(1)).unwrap();
+    ctl.add_tenant(fdc_tenant(2)).unwrap();
+
+    let hostile = ctl.submit(1, off_spec_steps()).unwrap();
+    assert!(hostile.quarantined && hostile.rollbacks == 1, "bad batch outcome: {hostile:?}");
+    assert!(!ctl.set_quarantine(2, true).unwrap(), "tenant 2 was not quarantined before");
+    assert!(ctl.set_quarantine(1, false).unwrap(), "tenant 1 was quarantined before");
+
+    let before: Vec<TenantStatus> = [1, 2].map(|t| ctl.tenant_status(t).unwrap()).to_vec();
+    assert_eq!(protective(&before[0]), (false, false, 0), "release restores the budget");
+    assert_eq!(protective(&before[1]), (true, false, 0));
+    let state = |tenant, quarantined, rollbacks_used| WalRecord::StateChange {
+        tenant,
+        quarantined,
+        degraded: false,
+        rollbacks_used,
+    };
+    let (wal, _) = replay(&store.join("wal.log")).unwrap();
+    assert_eq!(
+        tenant_records(wal),
+        vec![
+            WalRecord::TenantHosted { config: fdc_tenant(1) },
+            WalRecord::TenantHosted { config: fdc_tenant(2) },
+            state(1, true, 1),
+            state(2, true, 0),
+            state(1, false, 0),
+        ],
+        "each transition is journaled exactly once"
+    );
+    ctl.shutdown().unwrap();
+    join.join().unwrap();
+    drop(daemon);
+
+    let warm = Daemon::new(DaemonConfig::new(&store), Arc::new(ObsHub::new())).unwrap();
+    let stats = warm.warm_stats();
+    assert!(stats.replay_clean && stats.skipped.is_empty(), "warm load not clean: {stats:?}");
+    for status in &before {
+        let tenant = status.tenant.0;
+        match warm.handle(&req(tenant, RequestBody::TenantStatus { tenant })).body {
+            ResponseBody::Status { status: after } => {
+                assert_eq!(protective(&after), protective(status), "tenant-{tenant}");
+            }
+            other => panic!("unexpected response: {other:?}"),
+        }
+    }
+    drop(warm);
+
+    // The shutdown compacted the journal: hostings, then each tenant's
+    // last state in journal order.
+    let (_, loaded) = DurableStore::open(&store).unwrap();
+    assert_eq!(
+        tenant_records(loaded.records),
+        vec![
+            WalRecord::TenantHosted { config: fdc_tenant(1) },
+            WalRecord::TenantHosted { config: fdc_tenant(2) },
+            state(2, true, 0),
+            state(1, false, 0),
+        ]
+    );
 }
 
 #[test]
@@ -319,6 +393,19 @@ fn a_deeply_nested_frame_is_a_bad_request_not_an_abort() {
     ctl.ping().unwrap();
     ctl.shutdown().unwrap();
     join.join().unwrap();
+}
+
+/// What a restart must carry over: quarantined, degraded, rollbacks.
+fn protective(status: &TenantStatus) -> (bool, bool, u32) {
+    (status.quarantined, status.degraded, status.rollbacks)
+}
+
+/// The hosting and state records of a journal, in order.
+fn tenant_records(records: Vec<WalRecord>) -> Vec<WalRecord> {
+    records
+        .into_iter()
+        .filter(|r| matches!(r, WalRecord::TenantHosted { .. } | WalRecord::StateChange { .. }))
+        .collect()
 }
 
 fn req(id: u64, body: RequestBody) -> Request {
