@@ -50,7 +50,7 @@ use sedspec::pipeline::deploy_compiled;
 use sedspec::response::{highest_alert, AlertLevel, SnapshotRing};
 use sedspec_devices::{build_device, DeviceKind, QemuVersion};
 use sedspec_obs::{ObsHub, ObsSink, ScopeId, ScopeInfo, TraceEventKind};
-use sedspec_vmm::{IoRequest, VmContext};
+use sedspec_vmm::{IoRequest, VmContext, SECTOR_SIZE};
 use serde::{Deserialize, Serialize};
 
 use crate::fault::{FaultAction, FaultKind, FaultPoint, FaultSite, FaultySink};
@@ -84,13 +84,42 @@ pub struct TenantConfig {
     pub snapshot_depth: usize,
     /// Halts absorbed by rollback before the tenant is quarantined.
     pub rollback_budget: u32,
-    /// Guest memory bytes.
+    /// Guest memory bytes: the size of the guest's address space, not
+    /// a reservation. Pages are allocated on first write, so a tenant
+    /// costs the pages its devices write. At most
+    /// [`TenantConfig::MAX_MEM_SIZE`].
     pub mem_size: usize,
-    /// Disk backend size in sectors.
+    /// Disk backend size in sectors. Like `mem_size`, this sizes an
+    /// address space; sectors take memory once written. At most
+    /// [`TenantConfig::MAX_DISK_SECTORS`].
     pub disk_sectors: usize,
 }
 
 impl TenantConfig {
+    /// Largest accepted [`mem_size`](Self::mem_size): 1 GiB. It bounds
+    /// the page table a tenant's memory is built with (one pointer per
+    /// 4 KiB page, 2 MiB at the cap).
+    pub const MAX_MEM_SIZE: usize = 1 << 30;
+
+    /// Largest accepted [`disk_sectors`](Self::disk_sectors): a 1 GiB
+    /// disk, with the same page-table bound as memory.
+    pub const MAX_DISK_SECTORS: usize = Self::MAX_MEM_SIZE / SECTOR_SIZE;
+
+    /// Refuses sizes past the caps before anything is allocated. The
+    /// comparisons are on the fields as given, so no size arithmetic
+    /// can overflow on the way.
+    fn check_size(&self) -> Result<(), PoolError> {
+        for (what, value, cap) in [
+            ("mem_size", self.mem_size, Self::MAX_MEM_SIZE),
+            ("disk_sectors", self.disk_sectors, Self::MAX_DISK_SECTORS),
+        ] {
+            if value > cap {
+                return Err(PoolError::TooLarge { tenant: self.tenant, what, cap });
+            }
+        }
+        Ok(())
+    }
+
     /// A protection-mode tenant with the fleet defaults: every device
     /// patched, four snapshots, one rollback before quarantine.
     pub fn new(tenant: u64) -> Self {
@@ -241,6 +270,16 @@ pub enum PoolError {
     Saturated(usize),
     /// The batch did not complete within the configured wait budget.
     BatchTimeout(TenantId),
+    /// A size in the tenant's config is past its cap
+    /// ([`TenantConfig::MAX_MEM_SIZE`], [`TenantConfig::MAX_DISK_SECTORS`]).
+    TooLarge {
+        /// The refused tenant.
+        tenant: TenantId,
+        /// The config field over its cap.
+        what: &'static str,
+        /// The field's cap.
+        cap: usize,
+    },
 }
 
 impl std::fmt::Display for PoolError {
@@ -258,6 +297,9 @@ impl std::fmt::Display for PoolError {
             PoolError::UnknownTicket => write!(f, "unknown or already redeemed ticket"),
             PoolError::Saturated(s) => write!(f, "shard {s} is saturated; retry later"),
             PoolError::BatchTimeout(t) => write!(f, "{t}: batch timed out"),
+            PoolError::TooLarge { tenant, what, cap } => {
+                write!(f, "{tenant}: {what} exceeds its cap of {cap}")
+            }
         }
     }
 }
@@ -1012,8 +1054,11 @@ impl EnforcementPool {
     ///
     /// [`PoolError::TenantExists`] for duplicate ids,
     /// [`PoolError::NoSpec`] when a channel has no published revision,
-    /// [`PoolError::RegionConflict`] for overlapping device claims.
+    /// [`PoolError::RegionConflict`] for overlapping device claims,
+    /// [`PoolError::TooLarge`] for memory or disk past its cap (checked
+    /// here, before the shard sees the config).
     pub fn add_tenant(&self, cfg: TenantConfig) -> Result<(), PoolError> {
+        cfg.check_size()?;
         let shard = self.shard_of(cfg.tenant);
         self.add_tenant_on(shard, cfg.clone())?;
         self.configs.lock().insert(cfg.tenant, cfg);

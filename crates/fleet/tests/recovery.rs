@@ -263,3 +263,33 @@ fn stalled_batch_times_out_instead_of_blocking() {
     let ticket = pool.submit_steps(TenantId(0), one_round).unwrap();
     assert_eq!(pool.wait(ticket), Err(PoolError::BatchTimeout(TenantId(0))));
 }
+
+#[test]
+fn oversized_tenant_configs_are_refused_typed_before_the_shard() {
+    // No devices, so no specification is needed: only the sizes matter.
+    let pool = EnforcementPool::new(1, Arc::new(SpecRegistry::new()));
+    let bare = |id: u64| TenantConfig::new(id).with_devices(vec![]);
+    let huge_mem = TenantConfig { mem_size: usize::MAX, ..bare(0) };
+    let huge_disk = TenantConfig { disk_sectors: usize::MAX / 256, ..bare(0) };
+    let past_cap = TenantConfig { mem_size: TenantConfig::MAX_MEM_SIZE + 1, ..bare(0) };
+    for (cfg, what, cap) in [
+        (huge_mem, "mem_size", TenantConfig::MAX_MEM_SIZE),
+        (huge_disk, "disk_sectors", TenantConfig::MAX_DISK_SECTORS),
+        (past_cap, "mem_size", TenantConfig::MAX_MEM_SIZE),
+    ] {
+        assert_eq!(
+            pool.add_tenant(cfg),
+            Err(PoolError::TooLarge { tenant: TenantId(0), what, cap })
+        );
+    }
+    assert!(pool.shard_alive(0), "a refused config must never reach, let alone kill, the shard");
+    assert_eq!(pool.restart_counts(), &[0]);
+    // The caps themselves are accepted, and the refused id is still free.
+    let at_caps = TenantConfig {
+        mem_size: TenantConfig::MAX_MEM_SIZE,
+        disk_sectors: TenantConfig::MAX_DISK_SECTORS,
+        ..bare(0)
+    };
+    pool.add_tenant(at_caps).unwrap();
+    assert!(pool.shard_alive(0));
+}

@@ -1,5 +1,6 @@
 use std::collections::VecDeque;
 
+use crate::guest_mem::PageStore;
 use crate::VmmError;
 
 /// Sector size used by every disk backend, in bytes.
@@ -10,7 +11,8 @@ pub const SECTOR_SIZE: usize = 512;
 /// Plays the role of the host-side image file behind QEMU's FDC, SDHCI
 /// and SCSI devices. Transfers are whole sectors of [`SECTOR_SIZE`]
 /// bytes; the backend tracks read/write counters so performance
-/// harnesses can derive throughput.
+/// harnesses can derive throughput. Like a sparse image file, it holds
+/// only the 4 KiB pages written so far; the rest reads as zeros.
 ///
 /// # Examples
 ///
@@ -25,16 +27,22 @@ pub const SECTOR_SIZE: usize = 512;
 /// ```
 #[derive(Debug, Clone)]
 pub struct DiskBackend {
-    data: Vec<u8>,
+    data: PageStore,
     sectors: usize,
     reads: u64,
     writes: u64,
 }
 
 impl DiskBackend {
-    /// Creates a zero-filled backend of `sectors` sectors.
+    /// Creates a zeroed backend of `sectors` sectors. No page is
+    /// allocated until it is first written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sectors * SECTOR_SIZE` overflows `usize`.
     pub fn new(sectors: usize) -> Self {
-        DiskBackend { data: vec![0; sectors * SECTOR_SIZE], sectors, reads: 0, writes: 0 }
+        let len = sectors.checked_mul(SECTOR_SIZE).expect("disk capacity overflows usize");
+        DiskBackend { data: PageStore::new(len), sectors, reads: 0, writes: 0 }
     }
 
     /// Number of sectors in the backend.
@@ -60,9 +68,9 @@ impl DiskBackend {
     ///
     /// Returns [`VmmError::SectorOutOfRange`] if `sector` is past the end.
     pub fn read_sector(&mut self, sector: u64) -> Result<Vec<u8>, VmmError> {
-        let off = self.offset(sector)?;
-        self.reads += 1;
-        Ok(self.data[off..off + SECTOR_SIZE].to_vec())
+        let mut buf = vec![0; SECTOR_SIZE];
+        self.read_sector_into(sector, &mut buf)?;
+        Ok(buf)
     }
 
     /// Reads sector `sector` into `dst` (first [`SECTOR_SIZE`] bytes).
@@ -77,7 +85,7 @@ impl DiskBackend {
     pub fn read_sector_into(&mut self, sector: u64, dst: &mut [u8]) -> Result<(), VmmError> {
         let off = self.offset(sector)?;
         self.reads += 1;
-        dst[..SECTOR_SIZE].copy_from_slice(&self.data[off..off + SECTOR_SIZE]);
+        self.data.read(off, &mut dst[..SECTOR_SIZE]);
         Ok(())
     }
 
@@ -93,10 +101,8 @@ impl DiskBackend {
         let off = self.offset(sector)?;
         self.writes += 1;
         let n = src.len().min(SECTOR_SIZE);
-        self.data[off..off + n].copy_from_slice(&src[..n]);
-        if n < SECTOR_SIZE {
-            self.data[off + n..off + SECTOR_SIZE].fill(0);
-        }
+        self.data.write(off, &src[..n]);
+        self.data.fill(off + n, SECTOR_SIZE - n, 0);
         Ok(())
     }
 

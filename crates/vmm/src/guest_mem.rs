@@ -1,6 +1,109 @@
 use crate::VmmError;
 
-/// Flat guest physical memory.
+/// Granularity of a [`PageStore`], in bytes.
+const PAGE_SIZE: usize = 4096;
+
+type Page = Box<[u8; PAGE_SIZE]>;
+
+/// A fixed-length byte space backed by pages allocated on first write.
+///
+/// This is the storage under both [`GuestMemory`](crate::GuestMemory)
+/// and [`DiskBackend`](crate::DiskBackend). A page that was never
+/// written reads as zeros, so a space costs one table entry per page
+/// plus the pages actually written — the demand-paged anonymous memory
+/// a QEMU/KVM guest gets, not an up-front zero-filled reservation.
+///
+/// Callers bounds-check every access against [`len`](Self::len); the
+/// store itself only splits an access at page boundaries.
+#[derive(Debug, Clone)]
+pub(crate) struct PageStore {
+    pages: Vec<Option<Page>>,
+    len: usize,
+}
+
+/// Splits the `len` bytes at `start` into per-page pieces of
+/// `(page index, offset in page, offset in access, piece length)`.
+fn pieces(start: usize, len: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    let end = start + len;
+    let mut at = start;
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let off = at % PAGE_SIZE;
+            let n = (PAGE_SIZE - off).min(end - at);
+            let piece = (at / PAGE_SIZE, off, at - start, n);
+            at += n;
+            piece
+        })
+    })
+}
+
+impl PageStore {
+    /// A space of `len` bytes with no page resident.
+    pub(crate) fn new(len: usize) -> Self {
+        PageStore { pages: vec![None; len.div_ceil(PAGE_SIZE)], len }
+    }
+
+    /// Length of the space in bytes.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    fn page_mut(&mut self, index: usize) -> &mut [u8; PAGE_SIZE] {
+        self.pages[index].get_or_insert_with(|| {
+            // Zeroed straight from the allocator: no stack temporary.
+            vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().expect("one page")
+        })
+    }
+
+    /// Copies the `dst.len()` bytes at `start` into `dst`.
+    pub(crate) fn read(&self, start: usize, dst: &mut [u8]) {
+        for (p, off, at, n) in pieces(start, dst.len()) {
+            let dst = &mut dst[at..at + n];
+            match &self.pages[p] {
+                Some(page) => dst.copy_from_slice(&page[off..off + n]),
+                None => dst.fill(0),
+            }
+        }
+    }
+
+    /// Copies `src` to the bytes at `start`, allocating absent pages.
+    pub(crate) fn write(&mut self, start: usize, src: &[u8]) {
+        for (p, off, at, n) in pieces(start, src.len()) {
+            self.page_mut(p)[off..off + n].copy_from_slice(&src[at..at + n]);
+        }
+    }
+
+    /// Sets the `len` bytes at `start` to `value`. Zeroing an absent
+    /// page allocates nothing.
+    pub(crate) fn fill(&mut self, start: usize, len: usize, value: u8) {
+        for (p, off, _, n) in pieces(start, len) {
+            if value != 0 || self.pages[p].is_some() {
+                self.page_mut(p)[off..off + n].fill(value);
+            }
+        }
+    }
+}
+
+/// Compares contents: an absent page equals a page of zeros.
+impl PartialEq for PageStore {
+    fn eq(&self, other: &Self) -> bool {
+        let zero = |page: &Page| page.iter().all(|&b| b == 0);
+        self.len == other.len
+            && self.pages.iter().zip(&other.pages).all(|pair| match pair {
+                (Some(a), Some(b)) => a == b,
+                (Some(page), None) | (None, Some(page)) => zero(page),
+                (None, None) => true,
+            })
+    }
+}
+
+impl Eq for PageStore {}
+
+/// Guest physical memory.
+///
+/// Pages are allocated on first write and an untouched page reads as
+/// zeros, so a region's size is an address space, not a reservation:
+/// its resident cost is the 4 KiB pages the guest's devices write.
 ///
 /// All multi-byte accessors use little-endian byte order, matching the
 /// x86 guests the paper evaluates on. Accesses are bounds-checked and
@@ -21,33 +124,27 @@ use crate::VmmError;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GuestMemory {
-    bytes: Vec<u8>,
+    pages: PageStore,
 }
 
 impl GuestMemory {
-    /// Allocates `size` bytes of zeroed guest memory.
+    /// A zeroed guest memory of `size` bytes. No page is allocated
+    /// until it is first written.
     pub fn new(size: usize) -> Self {
-        GuestMemory { bytes: vec![0; size] }
+        GuestMemory { pages: PageStore::new(size) }
     }
 
     /// Total size of the region in bytes.
     pub fn size(&self) -> usize {
-        self.bytes.len()
+        self.pages.len()
     }
 
     fn check(&self, addr: u64, len: usize) -> Result<usize, VmmError> {
-        let start = usize::try_from(addr).map_err(|_| VmmError::OutOfBounds {
-            addr,
-            len,
-            size: self.bytes.len(),
-        })?;
-        let end = start.checked_add(len).ok_or(VmmError::OutOfBounds {
-            addr,
-            len,
-            size: self.bytes.len(),
-        })?;
-        if end > self.bytes.len() {
-            return Err(VmmError::OutOfBounds { addr, len, size: self.bytes.len() });
+        let size = self.size();
+        let start = usize::try_from(addr).map_err(|_| VmmError::OutOfBounds { addr, len, size })?;
+        let end = start.checked_add(len).ok_or(VmmError::OutOfBounds { addr, len, size })?;
+        if end > size {
+            return Err(VmmError::OutOfBounds { addr, len, size });
         }
         Ok(start)
     }
@@ -59,7 +156,7 @@ impl GuestMemory {
     /// Returns [`VmmError::OutOfBounds`] if the range does not fit.
     pub fn read_bytes(&self, addr: u64, dst: &mut [u8]) -> Result<(), VmmError> {
         let start = self.check(addr, dst.len())?;
-        dst.copy_from_slice(&self.bytes[start..start + dst.len()]);
+        self.pages.read(start, dst);
         Ok(())
     }
 
@@ -70,7 +167,7 @@ impl GuestMemory {
     /// Returns [`VmmError::OutOfBounds`] if the range does not fit.
     pub fn write_bytes(&mut self, addr: u64, src: &[u8]) -> Result<(), VmmError> {
         let start = self.check(addr, src.len())?;
-        self.bytes[start..start + src.len()].copy_from_slice(src);
+        self.pages.write(start, src);
         Ok(())
     }
 
@@ -85,14 +182,15 @@ impl GuestMemory {
         Ok(v)
     }
 
-    /// Fills `len` bytes at `addr` with `value`.
+    /// Fills `len` bytes at `addr` with `value`. Filling with zero
+    /// allocates no page.
     ///
     /// # Errors
     ///
     /// Returns [`VmmError::OutOfBounds`] if the range does not fit.
     pub fn fill(&mut self, addr: u64, len: usize, value: u8) -> Result<(), VmmError> {
         let start = self.check(addr, len)?;
-        self.bytes[start..start + len].fill(value);
+        self.pages.fill(start, len, value);
         Ok(())
     }
 

@@ -69,6 +69,14 @@ pub struct VmContext {
 impl VmContext {
     /// Creates a context with `mem_size` bytes of guest memory, a
     /// `disk_sectors`-sector disk backend and 16 IRQ lines.
+    ///
+    /// Both sizes span an address space, not a reservation: memory and
+    /// disk allocate their 4 KiB pages on first write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `disk_sectors * SECTOR_SIZE` overflows `usize`, or if
+    /// the page tables for either size cannot be allocated.
     pub fn new(mem_size: usize, disk_sectors: usize) -> Self {
         VmContext {
             mem: GuestMemory::new(mem_size),
